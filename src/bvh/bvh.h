@@ -7,7 +7,7 @@
 // the from-scratch stand-in for the ArborX BVH the paper uses
 // (DESIGN.md §2).
 //
-// Construction (data-parallel except the final collapse):
+// Construction (every step is data-parallel):
 //   1. Morton-code primitive centroids over the scene bounds (the point
 //      path encodes straight from a PointsView SoA, one lane group per
 //      launch index) and sort.
@@ -16,12 +16,20 @@
 //      duplicate codes are handled).
 //   3. Refit binary bounds bottom-up; each node is processed by the
 //      second child to arrive (atomic counter per node).
-//   4. Collapse the binary tree into wide nodes: starting from a node's
-//      two children, repeatedly expand the child subtree covering the
-//      most leaves until 8 entries (or all leaves) remain — a
-//      deterministic, balance-seeking flattening. Left-to-right order of
-//      the sorted leaf ranges is preserved lane order. The binary nodes
-//      and Morton codes are build temporaries, freed afterwards.
+//   4. Collapse the binary tree into wide nodes, level-synchronously. A
+//      wide node starts from its binary root's two children and
+//      repeatedly expands the entry whose subtree covers the most sorted
+//      leaf positions (leftmost on ties) until 8 entries (or all leaves)
+//      remain — a deterministic, balance-seeking flattening whose lane
+//      order is the left-to-right sorted leaf order. Each level expands
+//      its whole frontier in one launch and scan-compacts the surviving
+//      internal entries into the next frontier; wide subtree sizes are
+//      then counted bottom-up, DFS-preorder indices assigned top-down,
+//      and every wide node written in one launch. The result is byte-
+//      identical to the recursive depth-first collapse (root 0, children
+//      in lane order, each subtree contiguous), which tests/test_bvh.cpp
+//      keeps as its reference. The binary nodes, Morton codes and
+//      per-level scratch are build temporaries, freed afterwards.
 //
 // Traversal is a batched, stack-based top-down walk: one lane sweep
 // computes all 8 child box distances, then lanes are processed in order.
@@ -45,7 +53,7 @@
 #include <bit>
 #include <cstdint>
 #include <limits>
-#include <numeric>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -53,6 +61,7 @@
 #include "exec/parallel.h"
 #include "exec/radix_sort.h"
 #include "exec/simd.h"
+#include "exec/uninit_vector.h"
 #include "geometry/box.h"
 #include "geometry/morton.h"
 #include "geometry/point.h"
@@ -89,6 +98,18 @@ class Bvh {
   /// sweep covers a whole node.
   static constexpr int kArity = simd::kWidth;
 
+  /// Lane-SoA wide node: child boxes stored axis-major so one vector
+  /// load covers all 8 lane values of one axis. Lanes >= count are
+  /// padding (+inf/-inf boxes, child -1, range_end -1) and are never
+  /// iterated.
+  struct WideNode {
+    float lo[DIM][kArity];
+    float hi[DIM][kArity];
+    std::int32_t child[kArity];      // >= 0: wide node index; < 0: leaf ~pos
+    std::int32_t range_end[kArity];  // max sorted leaf position in subtree
+    std::int32_t count;              // live lanes
+  };
+
   /// Builds the hierarchy over arbitrary boxed primitives (points are
   /// degenerate boxes; FDBSCAN-DenseBox mixes points and dense-cell
   /// boxes, which the BVH accommodates without extra constraints — §4.2).
@@ -123,6 +144,11 @@ class Bvh {
 
   [[nodiscard]] const Box<DIM>& leaf_bounds(std::int32_t sorted_pos) const noexcept {
     return leaf_bounds_[static_cast<std::size_t>(sorted_pos)];
+  }
+
+  /// The wide nodes in DFS preorder (root at 0; empty when size() <= 1).
+  [[nodiscard]] std::span<const WideNode> nodes() const noexcept {
+    return {wide_.data(), wide_.size()};
   }
 
   /// Bytes of device memory the structure occupies (for the memory
@@ -292,18 +318,6 @@ class Bvh {
   }
 
  private:
-  /// Lane-SoA wide node: child boxes stored axis-major so one vector
-  /// load covers all 8 lane values of one axis. Lanes >= count are
-  /// padding (+inf/-inf boxes, child -1, range_end -1) and are never
-  /// iterated.
-  struct WideNode {
-    float lo[DIM][kArity];
-    float hi[DIM][kArity];
-    std::int32_t child[kArity];      // >= 0: wide node index; < 0: leaf ~pos
-    std::int32_t range_end[kArity];  // max sorted leaf position in subtree
-    std::int32_t count;              // live lanes
-  };
-
   /// Binary build node (temporary): Karras topology plus the sorted leaf
   /// range, which the collapse uses to pick the biggest subtree to
   /// expand.
@@ -314,6 +328,19 @@ class Bvh {
     std::int32_t range_begin;  // min sorted leaf position in this subtree
     std::int32_t range_end;    // max sorted leaf position in this subtree
     std::int32_t parent;       // -1 for root
+  };
+
+  /// One wide node during the collapse (temporary), stored breadth-first:
+  /// level by level, each level in the lane order of the nodes above it,
+  /// so a node's wide children are contiguous in the next level.
+  struct CollapseNode {
+    std::int32_t bin;             // binary root this wide node flattens
+    std::int32_t entry[kArity];   // lane entries: binary node or ~leaf pos
+    std::int32_t count;           // live entries
+    std::int32_t num_internal;    // entries that become wide children
+    std::int32_t first_child;     // breadth-first index of the first one
+    std::int32_t size;            // wide nodes in this subtree
+    std::int32_t index;           // DFS-preorder index in wide_
   };
 
   // Wide-tree depth is bounded by the binary depth (Morton key length
@@ -406,7 +433,10 @@ class Bvh {
   template <class BoxAt>
   void finish_build(BoxAt&& box_at) {
     sorted_ids_.resize(static_cast<std::size_t>(n_));
-    std::iota(sorted_ids_.begin(), sorted_ids_.end(), 0);
+    exec::parallel_for("bvh/build/leaf-ids", static_cast<std::int64_t>(n_),
+                       [&](std::int64_t i) {
+      sorted_ids_[static_cast<std::size_t>(i)] = static_cast<std::int32_t>(i);
+    });
     exec::radix_sort_pairs(codes_, sorted_ids_);
 
     leaf_bounds_.resize(static_cast<std::size_t>(n_));
@@ -419,15 +449,19 @@ class Bvh {
     });
 
     if (n_ == 1) {
-      codes_ = {};
+      codes_ = exec::UninitVector<std::uint64_t>();
       return;
     }
 
     // Binary hierarchy: each internal node i in [0, n-1) is built
-    // independently (build temporaries; freed after the collapse).
+    // independently (build temporaries; freed after the collapse). The
+    // kernel fills every node field but the bounds (the refit's job) and
+    // every leaf's parent, and zeroes the refit's arrival counters.
     const std::int32_t num_internal = n_ - 1;
     build_.resize(static_cast<std::size_t>(num_internal));
-    std::vector<std::int32_t> leaf_parent(static_cast<std::size_t>(n_));
+    exec::UninitVector<std::int32_t> leaf_parent(static_cast<std::size_t>(n_));
+    exec::UninitVector<std::int32_t> arrivals(
+        static_cast<std::size_t>(num_internal));
     build_[0].parent = -1;
     exec::parallel_for("bvh/build/hierarchy", num_internal, [&](std::int64_t ii) {
       const auto i = static_cast<std::int32_t>(ii);
@@ -453,6 +487,7 @@ class Bvh {
 
       const std::int32_t first = std::min(i, j);
       const std::int32_t last = std::max(i, j);
+      arrivals[static_cast<std::size_t>(ii)] = 0;
       BuildNode& node = build_[static_cast<std::size_t>(ii)];
       node.range_begin = first;
       node.range_end = last;
@@ -472,7 +507,6 @@ class Bvh {
 
     // Bottom-up refit: the second thread to reach a node computes its
     // bounds from the (now finished) children.
-    std::vector<std::int32_t> arrivals(static_cast<std::size_t>(num_internal), 0);
     exec::parallel_for("bvh/build/refit", static_cast<std::int64_t>(n_),
                        [&](std::int64_t leaf) {
       std::int32_t node = leaf_parent[static_cast<std::size_t>(leaf)];
@@ -489,25 +523,144 @@ class Bvh {
       }
     });
 
-    // Collapse (serial, O(n): every binary node is visited once). The
-    // root wide node is index 0.
-    wide_.reserve(static_cast<std::size_t>(num_internal) / (kArity / 2) + 1);
-    (void)collapse_node(0);
-    build_ = {};
-    codes_ = {};
+    // Free every build temporary as soon as its last reader is done.
+    // Move-assign an empty vector: `v = {}` picks the initializer-list
+    // overload, which clears but keeps the capacity.
+    leaf_parent = exec::UninitVector<std::int32_t>();
+    arrivals = exec::UninitVector<std::int32_t>();
+    codes_ = exec::UninitVector<std::uint64_t>();
+    collapse();
+    build_ = exec::UninitVector<BuildNode>();
   }
 
-  /// Flattens the binary subtree rooted at internal node `bin` into one
-  /// wide node (recursing into the surviving internal entries) and
-  /// returns its wide index. Expansion policy: while fewer than kArity
-  /// entries, split the entry whose subtree covers the most sorted leaf
-  /// positions (ties: the leftmost), replacing it in place with its two
-  /// children — lane order stays the left-to-right sorted order.
-  std::int32_t collapse_node(std::int32_t bin) {
-    std::int32_t entry[kArity];
+  /// Level-synchronous collapse of the binary tree into wide_ (step 4 of
+  /// the construction). Byte-identical to the recursive depth-first
+  /// collapse: the expansion rule per wide node is the same, and the
+  /// preorder index of a wide node is 1 + its parent's index + the sizes
+  /// of the subtrees in the lanes to its left.
+  void collapse() {
+    // Every wide node flattens a distinct binary internal node, so n - 1
+    // slots always suffice; only the slots the levels fill are touched.
+    exec::UninitVector<CollapseNode> bfs(static_cast<std::size_t>(n_ - 1));
+    // Level l holds breadth-first slots [level_begin[l], level_begin[l+1]).
+    std::vector<std::int32_t> level_begin{0, 1};
+    bfs[0].bin = 0;
+    std::vector<std::int32_t> offsets;
+    for (;;) {
+      const std::int32_t begin = level_begin[level_begin.size() - 2];
+      const std::int32_t end = level_begin.back();
+      offsets.resize(static_cast<std::size_t>(end - begin));
+      // 1. Expand every frontier wide-root into its lane entries.
+      exec::parallel_for("bvh/build/collapse/expand", end - begin,
+                         [&](std::int64_t i) {
+        CollapseNode& node = bfs[static_cast<std::size_t>(begin + i)];
+        expand(node);
+        offsets[static_cast<std::size_t>(i)] = node.num_internal;
+      });
+      // 2. Compact the internal entries into the next frontier, keeping
+      // lane order: a node's children land contiguously at its offset.
+      const std::int32_t width =
+          exec::exclusive_scan("bvh/build/collapse/compact", offsets);
+      if (width == 0) break;
+      exec::parallel_for("bvh/build/collapse/compact", end - begin,
+                         [&](std::int64_t i) {
+        CollapseNode& node = bfs[static_cast<std::size_t>(begin + i)];
+        std::int32_t slot = end + offsets[static_cast<std::size_t>(i)];
+        node.first_child = slot;
+        for (int k = 0; k < node.count; ++k) {
+          if (node.entry[k] >= 0) {
+            bfs[static_cast<std::size_t>(slot++)].bin = node.entry[k];
+          }
+        }
+      });
+      level_begin.push_back(end + width);
+    }
+    const std::int32_t total = level_begin.back();
+    const auto levels = static_cast<std::int32_t>(level_begin.size()) - 1;
+
+    // 3. Wide subtree sizes, bottom-up one level per launch.
+    for (std::int32_t l = levels - 1; l >= 0; --l) {
+      const std::int32_t begin = level_begin[static_cast<std::size_t>(l)];
+      exec::parallel_for(
+          "bvh/build/collapse/sizes",
+          level_begin[static_cast<std::size_t>(l) + 1] - begin,
+          [&](std::int64_t i) {
+        CollapseNode& node = bfs[static_cast<std::size_t>(begin + i)];
+        std::int32_t size = 1;
+        for (std::int32_t c = 0; c < node.num_internal; ++c) {
+          size += bfs[static_cast<std::size_t>(node.first_child + c)].size;
+        }
+        node.size = size;
+      });
+    }
+
+    // 4. DFS-preorder indices, top-down: a child follows its parent and
+    // the whole subtrees of the wide children to its left.
+    bfs[0].index = 0;
+    for (std::int32_t l = 0; l + 1 < levels; ++l) {
+      const std::int32_t begin = level_begin[static_cast<std::size_t>(l)];
+      exec::parallel_for(
+          "bvh/build/collapse/preorder",
+          level_begin[static_cast<std::size_t>(l) + 1] - begin,
+          [&](std::int64_t i) {
+        const CollapseNode& node = bfs[static_cast<std::size_t>(begin + i)];
+        std::int32_t next = node.index + 1;
+        for (std::int32_t c = 0; c < node.num_internal; ++c) {
+          CollapseNode& child =
+              bfs[static_cast<std::size_t>(node.first_child + c)];
+          child.index = next;
+          next += child.size;
+        }
+      });
+    }
+
+    // 5. Write every wide node at its preorder slot.
+    wide_.resize(static_cast<std::size_t>(total));
+    exec::parallel_for("bvh/build/collapse/write", total, [&](std::int64_t i) {
+      const CollapseNode& node = bfs[static_cast<std::size_t>(i)];
+      WideNode& w = wide_[static_cast<std::size_t>(node.index)];
+      w.count = node.count;
+      std::int32_t next_child = node.first_child;
+      for (int l = 0; l < kArity; ++l) {
+        Box<DIM> b;
+        std::int32_t child_code = -1;
+        std::int32_t rend = -1;
+        if (l >= node.count) {  // padding lane
+          for (int d = 0; d < DIM; ++d) {
+            b.min[d] = std::numeric_limits<float>::infinity();
+            b.max[d] = -std::numeric_limits<float>::infinity();
+          }
+        } else if (const std::int32_t c = node.entry[l]; c < 0) {
+          const std::int32_t pos = ~c;
+          b = leaf_bounds_[static_cast<std::size_t>(pos)];
+          child_code = c;  // keep the ~sorted_pos encoding
+          rend = pos;
+        } else {
+          const BuildNode& nd = build_[static_cast<std::size_t>(c)];
+          b = nd.bounds;
+          rend = nd.range_end;
+          child_code = bfs[static_cast<std::size_t>(next_child++)].index;
+        }
+        w.child[l] = child_code;
+        w.range_end[l] = rend;
+        for (int d = 0; d < DIM; ++d) {
+          w.lo[d][l] = b.min[d];
+          w.hi[d][l] = b.max[d];
+        }
+      }
+    });
+  }
+
+  /// Fills a wide node's lane entries from its binary root. Expansion
+  /// policy: while fewer than kArity entries, split the entry whose
+  /// subtree covers the most sorted leaf positions (ties: the leftmost),
+  /// replacing it in place with its two children — lane order stays the
+  /// left-to-right sorted order.
+  void expand(CollapseNode& node) const noexcept {
+    std::int32_t* entry = node.entry;
     int size = 0;
-    entry[size++] = build_[static_cast<std::size_t>(bin)].left;
-    entry[size++] = build_[static_cast<std::size_t>(bin)].right;
+    entry[size++] = build_[static_cast<std::size_t>(node.bin)].left;
+    entry[size++] = build_[static_cast<std::size_t>(node.bin)].right;
     while (size < kArity) {
       int pick = -1;
       std::int32_t best_span = 0;
@@ -521,53 +674,17 @@ class Bvh {
         }
       }
       if (pick < 0) break;  // all entries are leaves
-      const std::int32_t left = build_[static_cast<std::size_t>(entry[pick])].left;
-      const std::int32_t right =
-          build_[static_cast<std::size_t>(entry[pick])].right;
+      const BuildNode& split = build_[static_cast<std::size_t>(entry[pick])];
+      const std::int32_t left = split.left;
+      const std::int32_t right = split.right;
       for (int k = size; k > pick + 1; --k) entry[k] = entry[k - 1];
       entry[pick] = left;
       entry[pick + 1] = right;
       ++size;
     }
-
-    const auto wi = static_cast<std::int32_t>(wide_.size());
-    wide_.emplace_back();
-    {
-      WideNode& w = wide_[static_cast<std::size_t>(wi)];
-      w.count = size;
-      for (int l = 0; l < kArity; ++l) {
-        w.child[l] = -1;
-        w.range_end[l] = -1;
-        for (int d = 0; d < DIM; ++d) {
-          w.lo[d][l] = std::numeric_limits<float>::infinity();
-          w.hi[d][l] = -std::numeric_limits<float>::infinity();
-        }
-      }
-    }
-    for (int k = 0; k < size; ++k) {
-      const std::int32_t c = entry[k];
-      Box<DIM> b;
-      std::int32_t child_code;
-      std::int32_t rend;
-      if (c < 0) {
-        const std::int32_t pos = ~c;
-        b = leaf_bounds_[static_cast<std::size_t>(pos)];
-        child_code = c;  // keep the ~sorted_pos encoding
-        rend = pos;
-      } else {
-        b = build_[static_cast<std::size_t>(c)].bounds;
-        rend = build_[static_cast<std::size_t>(c)].range_end;
-        child_code = collapse_node(c);  // may grow wide_
-      }
-      WideNode& w = wide_[static_cast<std::size_t>(wi)];  // re-fetch: see above
-      w.child[k] = child_code;
-      w.range_end[k] = rend;
-      for (int d = 0; d < DIM; ++d) {
-        w.lo[d][k] = b.min[d];
-        w.hi[d][k] = b.max[d];
-      }
-    }
-    return wi;
+    node.count = size;
+    node.num_internal = 0;
+    for (int k = 0; k < size; ++k) node.num_internal += entry[k] >= 0 ? 1 : 0;
   }
 
   [[nodiscard]] Box<DIM> child_bounds(std::int32_t c) const noexcept {
@@ -579,13 +696,15 @@ class Bvh {
 
   std::int32_t n_ = 0;
   Box<DIM> scene_ = Box<DIM>::empty();
-  std::vector<WideNode> wide_;              // collapsed tree; root at 0
-  std::vector<Box<DIM>> leaf_bounds_;       // by sorted position
-  std::vector<std::int32_t> sorted_ids_;    // sorted position -> primitive
-  std::vector<std::int32_t> positions_;     // primitive -> sorted position
+  // Every array is filled in full by a build kernel, so none is
+  // value-initialized first (exec/uninit_vector.h).
+  exec::UninitVector<WideNode> wide_;            // collapsed tree; root at 0
+  exec::UninitVector<Box<DIM>> leaf_bounds_;     // by sorted position
+  exec::UninitVector<std::int32_t> sorted_ids_;  // sorted position -> primitive
+  exec::UninitVector<std::int32_t> positions_;   // primitive -> sorted position
   // Build temporaries, freed at the end of finish_build().
-  std::vector<BuildNode> build_;
-  std::vector<std::uint64_t> codes_;        // by sorted position
+  exec::UninitVector<BuildNode> build_;
+  exec::UninitVector<std::uint64_t> codes_;  // by sorted position
 };
 
 }  // namespace fdbscan

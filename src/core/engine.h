@@ -212,13 +212,19 @@ class Engine {
           is_core[static_cast<std::size_t>(i)] = 1;
         });
       } else if (params.minpts > 2) {
+        // Launched over sorted leaf positions, like the main phase: the
+        // §3.2 batched launch, where neighboring threads query neighboring
+        // points. The query point is read from the sorted leaf array (a
+        // point's leaf box is {p, p}), so consecutive threads read
+        // consecutive memory instead of gathering points[x].
         exec::parallel_for("fdbscan/pre/core-count", st->n,
-                           [&](std::int64_t i) {
-          const auto& x = points[static_cast<std::size_t>(i)];
+                           [&](std::int64_t pos) {
+          const auto sorted_pos = static_cast<std::int32_t>(pos);
+          const std::int32_t x = bvh.primitive_at(sorted_pos);
           std::int32_t count = 0;  // the traversal finds x itself at distance 0
           TraversalStats stats;  // stack-local: increments stay in registers
           bvh.for_each_near(
-              x, eps2, 0,
+              bvh.leaf_bounds(sorted_pos).min, eps2, 0,
               [&](std::int32_t, std::int32_t) {
                 ++count;
                 return (options.early_exit && count >= params.minpts)
@@ -226,7 +232,7 @@ class Engine {
                            : TraversalControl::kContinue;
               },
               &stats);
-          if (count >= params.minpts) is_core[static_cast<std::size_t>(i)] = 1;
+          if (count >= params.minpts) is_core[static_cast<std::size_t>(x)] = 1;
           st->work.local() += stats;
         });
       }
@@ -250,11 +256,12 @@ class Engine {
                          [&](std::int64_t pos) {
         // Threads are assigned sorted leaf positions (not raw ids) so that
         // neighboring threads touch neighboring memory — the batched, low
-        // data-divergence launch of §3.2.
-        const std::int32_t x = bvh.primitive_at(static_cast<std::int32_t>(pos));
-        const auto& px = points[static_cast<std::size_t>(x)];
-        const std::int32_t mask =
-            options.masked_traversal ? static_cast<std::int32_t>(pos) + 1 : 0;
+        // data-divergence launch of §3.2. The query point comes from the
+        // sorted leaf array, as in the pre phase.
+        const auto sorted_pos = static_cast<std::int32_t>(pos);
+        const std::int32_t x = bvh.primitive_at(sorted_pos);
+        const Point<DIM>& px = bvh.leaf_bounds(sorted_pos).min;
+        const std::int32_t mask = options.masked_traversal ? sorted_pos + 1 : 0;
         TraversalStats stats;
         bvh.for_each_near(
             px, eps2, mask,
@@ -454,11 +461,14 @@ class Engine {
       });
 
       // Tree search for all points (dense-cell members included: they are
-      // the ones stitching adjacent cells together).
+      // the ones stitching adjacent cells together). Launched in grid
+      // order (the permutation lists each cell's members contiguously,
+      // then the isolated points by cell), so neighboring threads query
+      // spatially grouped points.
       const auto member_axes = grid.member_axes();
       exec::parallel_for("densebox/main/traverse-union", st->n,
-                         [&](std::int64_t i) {
-        const auto x = static_cast<std::int32_t>(i);
+                         [&](std::int64_t k) {
+        const std::int32_t x = perm[static_cast<std::size_t>(k)];
         const auto& px = points[static_cast<std::size_t>(x)];
         const std::int32_t own_cell =
             grid.dense_cell_of()[static_cast<std::size_t>(x)];
@@ -635,8 +645,12 @@ class Engine {
       // the store is build-only scratch — traversal reads the wide
       // nodes' lane boxes, never the raw coordinates — so it is packed
       // here (unless a caller supplied one) and freed right after.
-      if (pending_soa_.size() != static_cast<std::int64_t>(points_->size())) {
-        pending_soa_.assign(*points_);
+      const auto n = static_cast<std::int64_t>(points_->size());
+      if (pending_soa_.size() != n) {
+        pending_soa_.resize(n);
+        exec::parallel_for("fdbscan/index/pack-soa", n, [&](std::int64_t i) {
+          pending_soa_.set(i, (*points_)[static_cast<std::size_t>(i)]);
+        });
       }
       bvh_ = std::make_unique<Bvh<DIM>>(pending_soa_.view());
       pending_soa_ = PointsStore<DIM>{};

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "exec/parallel.h"
+#include "exec/uninit_vector.h"
 
 namespace fdbscan::exec {
 
@@ -73,8 +74,9 @@ inline void radix_pass(const std::uint64_t* keys, const std::int32_t* ids,
 /// Sorts (keys, ids) in tandem by key, ascending, stable. Both vectors
 /// must have equal length. Skips passes whose byte is constant across
 /// all keys (common: Morton codes rarely use all 64 bits).
-inline void radix_sort_pairs(std::vector<std::uint64_t>& keys,
-                             std::vector<std::int32_t>& ids) {
+template <class KeyAlloc, class IdAlloc>
+void radix_sort_pairs(std::vector<std::uint64_t, KeyAlloc>& keys,
+                      std::vector<std::int32_t, IdAlloc>& ids) {
   const auto n = static_cast<std::int64_t>(keys.size());
   if (n <= 1) return;
 
@@ -93,8 +95,9 @@ inline void radix_sort_pairs(std::vector<std::uint64_t>& keys,
         return Extent{a.any | b.any, a.all & b.all};
       });
 
-  std::vector<std::uint64_t> keys_tmp(keys.size());
-  std::vector<std::int32_t> ids_tmp(ids.size());
+  // Ping-pong buffers: every executed pass overwrites its output in full.
+  UninitVector<std::uint64_t> keys_tmp(keys.size());
+  UninitVector<std::int32_t> ids_tmp(ids.size());
   std::uint64_t* k_src = keys.data();
   std::int32_t* i_src = ids.data();
   std::uint64_t* k_dst = keys_tmp.data();

@@ -13,11 +13,13 @@
 // anyway (exec/simd.h kernels do).
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <limits>
 #include <vector>
 
+#include "exec/uninit_vector.h"
 #include "geometry/point.h"
 
 namespace fdbscan {
@@ -64,14 +66,15 @@ class PointsStore {
     }
   }
 
-  /// Sets the logical size and re-establishes the +inf padding; existing
-  /// coordinates are not preserved.
+  /// Sets the logical size and re-establishes the +inf padding. The
+  /// coordinates are left unspecified: the caller set()s all n of them
+  /// (typically in a parallel kernel) before reading any.
   void resize(std::int64_t n) {
     n_ = n;
-    for (int d = 0; d < DIM; ++d) {
-      axis_[static_cast<std::size_t>(d)].assign(
-          static_cast<std::size_t>(n + kSoaPadding),
-          std::numeric_limits<float>::infinity());
+    for (auto& axis : axis_) {
+      axis.resize(static_cast<std::size_t>(n + kSoaPadding));
+      std::fill(axis.begin() + n, axis.end(),
+                std::numeric_limits<float>::infinity());
     }
   }
 
@@ -112,7 +115,7 @@ class PointsStore {
   }
 
  private:
-  std::array<std::vector<float>, DIM> axis_;
+  std::array<exec::UninitVector<float>, DIM> axis_;
   std::int64_t n_ = 0;
 };
 

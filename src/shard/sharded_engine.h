@@ -348,29 +348,8 @@ class ShardedEngine {
           });
           return;
         }
-        const Bvh<DIM>& bvh = s.engine->index();
-        exec::PerThread<TraversalStats> work;
-        exec::parallel_for("shard/pre/core-count", s.owned,
-                           [&](std::int64_t k) {
-          const auto& p = s.local_points[static_cast<std::size_t>(k)];
-          std::int32_t count = 0;  // the traversal finds p itself
-          TraversalStats stats;  // stack-local: increments stay in registers
-          bvh.for_each_near(
-              p, eps2, 0,
-              [&](std::int32_t, std::int32_t) {
-                ++count;
-                return (options.early_exit && count >= params.minpts)
-                           ? TraversalControl::kTerminate
-                           : TraversalControl::kContinue;
-              },
-              &stats);
-          if (count >= params.minpts) {
-            is_core[static_cast<std::size_t>(
-                s.ids[static_cast<std::size_t>(k)])] = 1;
-          }
-          work.local() += stats;
-        });
-        shard_work[static_cast<std::size_t>(r)] += work.combine();
+        shard_work[static_cast<std::size_t>(r)] +=
+            count_cores(s, params, options, eps2, is_core);
       });
     }
     timings.preprocessing =
@@ -547,32 +526,8 @@ class ShardedEngine {
                         s.ids[static_cast<std::size_t>(k)])] = 1;
                   });
                 } else {
-                  const Bvh<DIM>& bvh = s.engine->index();
-                  exec::PerThread<TraversalStats> work;
-                  exec::parallel_for("shard/pre/core-count", s.owned,
-                                     [&](std::int64_t k) {
-                    const auto& p =
-                        s.local_points[static_cast<std::size_t>(k)];
-                    std::int32_t count = 0;  // the traversal finds p itself
-                    TraversalStats stats;
-                    bvh.for_each_near(
-                        p, eps2, 0,
-                        [&](std::int32_t, std::int32_t) {
-                          ++count;
-                          return (options.early_exit &&
-                                  count >= params.minpts)
-                                     ? TraversalControl::kTerminate
-                                     : TraversalControl::kContinue;
-                        },
-                        &stats);
-                    if (count >= params.minpts) {
-                      is_core[static_cast<std::size_t>(
-                          s.ids[static_cast<std::size_t>(k)])] = 1;
-                    }
-                    work.local() += stats;
-                  });
                   st->shard_work[static_cast<std::size_t>(r)] +=
-                      work.combine();
+                      count_cores(s, params, options, eps2, is_core);
                 }
               }
               st->pre_ns.fetch_add(exec::trace_now_ns() - t0,
@@ -751,6 +706,42 @@ class ShardedEngine {
   };
 
   static constexpr std::int32_t kPlanCapacity = 2;
+
+  /// Per-shard core determination (wave 2 / pre[r]): sets the core flags
+  /// of the shard's owned points and returns the traversal work. Launched
+  /// over the shard index's sorted leaf positions — the §3.2 batched
+  /// launch, as in Engine's pre phase — with the query point read from
+  /// the sorted leaf array. Ghost positions return before any traversal,
+  /// so the work counters are those of walking the owned ids.
+  static TraversalStats count_cores(const Shard& s, const Parameters& params,
+                                    const Options& options, float eps2,
+                                    std::vector<std::uint8_t>& is_core) {
+    const Bvh<DIM>& bvh = s.engine->index();
+    exec::PerThread<TraversalStats> work;
+    exec::parallel_for("shard/pre/core-count", bvh.size(),
+                       [&](std::int64_t pos) {
+      const auto sorted_pos = static_cast<std::int32_t>(pos);
+      const std::int32_t k = bvh.primitive_at(sorted_pos);
+      if (k >= s.owned) return;  // ghost: its owner decides its flag
+      std::int32_t count = 0;  // the traversal finds the point itself
+      TraversalStats stats;  // stack-local: increments stay in registers
+      bvh.for_each_near(
+          bvh.leaf_bounds(sorted_pos).min, eps2, 0,
+          [&](std::int32_t, std::int32_t) {
+            ++count;
+            return (options.early_exit && count >= params.minpts)
+                       ? TraversalControl::kTerminate
+                       : TraversalControl::kContinue;
+          },
+          &stats);
+      if (count >= params.minpts) {
+        is_core[static_cast<std::size_t>(s.ids[static_cast<std::size_t>(k)])] =
+            1;
+      }
+      work.local() += stats;
+    });
+    return work.combine();
+  }
 
   /// Shared state of one staged (graph-mode) run, owned jointly by the
   /// run's nodes. The atomics accumulate per-shard node busy time into

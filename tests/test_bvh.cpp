@@ -3,11 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
+#include <random>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "exec/atomic.h"
 #include "exec/parallel.h"
+#include "geometry/morton.h"
 #include "test_utils.h"
 
 namespace fdbscan {
@@ -130,13 +135,21 @@ TEST(Bvh, MixedBoxAndPointPrimitives) {
   EXPECT_EQ(found, (std::vector<std::int32_t>{0, 2}));
 }
 
+// gtest names each case by the raw bytes of its parameter, so the padding
+// is spelled out as zeroed members: uninitialised padding would put stack
+// garbage into the test name and change it from build to build.
 struct RangeQueryParam {
+  RangeQueryParam(std::int64_t n_, float extent_, float eps_,
+                  std::uint64_t seed_, bool clustered_)
+      : n(n_), extent(extent_), eps(eps_), seed(seed_), clustered(clustered_) {}
   std::int64_t n;
   float extent;
   float eps;
   std::uint64_t seed;
   bool clustered;
+  std::uint8_t pad0[7] = {};
 };
+static_assert(sizeof(RangeQueryParam) == 32);
 
 class BvhRangeQuery : public ::testing::TestWithParam<RangeQueryParam> {};
 
@@ -254,6 +267,227 @@ TEST(Bvh, BuildUnderConcurrencyIsDeterministic) {
     ASSERT_EQ(parallel_tree.primitive_at(i),
               order_serial[static_cast<std::size_t>(i)]);
   }
+}
+
+// Reference for the wide-node layout: the recursive depth-first collapse,
+// run over a binary radix tree built top-down from the tree's own sorted
+// Morton codes. Bvh builds the same radix tree bottom-up (Karras) and
+// collapses it level-synchronously; the two node arrays must agree byte
+// for byte, which pins traversal order and every work counter.
+template <int DIM>
+class SerialCollapse {
+ public:
+  using WideNode = typename Bvh<DIM>::WideNode;
+  static constexpr int kArity = Bvh<DIM>::kArity;
+
+  explicit SerialCollapse(const Bvh<DIM>& bvh) : bvh_(bvh) {
+    codes_.resize(static_cast<std::size_t>(bvh.size()));
+    for (std::int32_t pos = 0; pos < bvh.size(); ++pos) {
+      codes_[static_cast<std::size_t>(pos)] =
+          morton_code(bvh.leaf_bounds(pos).center(), bvh.scene_bounds());
+    }
+    if (bvh.size() >= 2) {
+      (void)build(0, bvh.size() - 1);
+      (void)collapse(0);
+    }
+  }
+
+  [[nodiscard]] const std::vector<WideNode>& nodes() const { return wide_; }
+
+ private:
+  struct Node {
+    Box<DIM> bounds;
+    std::int32_t left;   // >= 0: node index; < 0: leaf ~pos
+    std::int32_t right;
+    std::int32_t first;  // sorted leaf range
+    std::int32_t last;
+  };
+
+  // Common prefix of the (code, position) keys at positions i and j.
+  [[nodiscard]] int delta(std::int32_t i, std::int32_t j) const {
+    const std::uint64_t a = codes_[static_cast<std::size_t>(i)];
+    const std::uint64_t b = codes_[static_cast<std::size_t>(j)];
+    if (a != b) return std::countl_zero(a ^ b);
+    return 64 + std::countl_zero(static_cast<std::uint32_t>(i) ^
+                                 static_cast<std::uint32_t>(j));
+  }
+
+  // Karras's findSplit: the last position sharing more than the range's
+  // common prefix with `first`.
+  [[nodiscard]] std::int32_t find_split(std::int32_t first,
+                                        std::int32_t last) const {
+    const int common = delta(first, last);
+    std::int32_t split = first;
+    std::int32_t step = last - first;
+    do {
+      step = (step + 1) / 2;
+      const std::int32_t candidate = split + step;
+      if (candidate < last && delta(first, candidate) > common) {
+        split = candidate;
+      }
+    } while (step > 1);
+    return split;
+  }
+
+  [[nodiscard]] Box<DIM> bounds(std::int32_t c) const {
+    return c < 0 ? bvh_.leaf_bounds(~c)
+                 : tree_[static_cast<std::size_t>(c)].bounds;
+  }
+
+  std::int32_t build(std::int32_t first, std::int32_t last) {
+    if (first == last) return ~first;
+    const std::int32_t split = find_split(first, last);
+    const auto index = static_cast<std::int32_t>(tree_.size());
+    tree_.emplace_back();
+    const std::int32_t left = build(first, split);
+    const std::int32_t right = build(split + 1, last);
+    Box<DIM> b = bounds(left);
+    b.expand(bounds(right));
+    tree_[static_cast<std::size_t>(index)] = Node{b, left, right, first, last};
+    return index;
+  }
+
+  // One wide node per call, numbered in DFS preorder: expand the widest
+  // entry (leftmost on ties) until kArity entries or all leaves remain.
+  std::int32_t collapse(std::int32_t root) {
+    std::int32_t entry[kArity];
+    int size = 0;
+    entry[size++] = tree_[static_cast<std::size_t>(root)].left;
+    entry[size++] = tree_[static_cast<std::size_t>(root)].right;
+    while (size < kArity) {
+      int pick = -1;
+      std::int32_t best_span = 0;
+      for (int k = 0; k < size; ++k) {
+        if (entry[k] < 0) continue;
+        const Node& nd = tree_[static_cast<std::size_t>(entry[k])];
+        if (nd.last - nd.first + 1 > best_span) {
+          best_span = nd.last - nd.first + 1;
+          pick = k;
+        }
+      }
+      if (pick < 0) break;
+      const Node& nd = tree_[static_cast<std::size_t>(entry[pick])];
+      const std::int32_t left = nd.left;
+      const std::int32_t right = nd.right;
+      for (int k = size; k > pick + 1; --k) entry[k] = entry[k - 1];
+      entry[pick] = left;
+      entry[pick + 1] = right;
+      ++size;
+    }
+
+    const auto wi = static_cast<std::int32_t>(wide_.size());
+    wide_.emplace_back();
+    WideNode w{};
+    w.count = size;
+    for (int l = 0; l < kArity; ++l) {
+      w.child[l] = -1;
+      w.range_end[l] = -1;
+      for (int d = 0; d < DIM; ++d) {
+        w.lo[d][l] = std::numeric_limits<float>::infinity();
+        w.hi[d][l] = -std::numeric_limits<float>::infinity();
+      }
+    }
+    for (int k = 0; k < size; ++k) {
+      const std::int32_t c = entry[k];
+      const Box<DIM> b = bounds(c);
+      if (c < 0) {
+        w.child[k] = c;
+        w.range_end[k] = ~c;
+      } else {
+        w.range_end[k] = tree_[static_cast<std::size_t>(c)].last;
+        w.child[k] = collapse(c);
+      }
+      for (int d = 0; d < DIM; ++d) {
+        w.lo[d][k] = b.min[d];
+        w.hi[d][k] = b.max[d];
+      }
+    }
+    wide_[static_cast<std::size_t>(wi)] = w;
+    return wi;
+  }
+
+  const Bvh<DIM>& bvh_;
+  std::vector<std::uint64_t> codes_;
+  std::vector<Node> tree_;
+  std::vector<WideNode> wide_;
+};
+
+template <int DIM>
+void expect_serial_layout(const Bvh<DIM>& bvh, const std::string& what) {
+  const SerialCollapse<DIM> reference(bvh);
+  const auto got = bvh.nodes();
+  const auto& want = reference.nodes();
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(std::memcmp(&got[i], &want[i], sizeof(want[i])), 0)
+        << what << ": wide node " << i << " differs";
+  }
+}
+
+// DenseBox-style primitive set: every fourth primitive is a box, the
+// rest are points.
+std::vector<Box2> mixed_primitives(std::int64_t n, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::uniform_real_distribution<float> coord(0.0f, 1.0f);
+  std::uniform_real_distribution<float> side(0.0f, 0.05f);
+  std::vector<Box2> prims(static_cast<std::size_t>(n));
+  for (std::size_t i = 0; i < prims.size(); ++i) {
+    const Point2 p{{coord(rng), coord(rng)}};
+    prims[i] = Box2{p, p};
+    if (i % 4 == 0) {
+      prims[i].max[0] += side(rng);
+      prims[i].max[1] += side(rng);
+    }
+  }
+  return prims;
+}
+
+constexpr std::int64_t kCollapseSizes[] = {2, 3, 8, 9, 65, 1000, 100000};
+
+TEST(BvhCollapse, PointTreesMatchSerialCollapse) {
+  for (int workers : {1, 2, 8}) {
+    testing::ScopedThreads threads(workers);
+    for (const std::int64_t n : kCollapseSizes) {
+      const auto seed = static_cast<std::uint64_t>(n) + 7;
+      const std::string tag =
+          "workers=" + std::to_string(workers) + " n=" + std::to_string(n);
+      expect_serial_layout(
+          Bvh<2>(testing::clustered_points<2>(n, 5, 1.0f, 0.01f, seed)),
+          "2-D " + tag);
+      expect_serial_layout(
+          Bvh<3>(testing::random_points<3>(n, 1.0f, seed)), "3-D " + tag);
+    }
+  }
+}
+
+TEST(BvhCollapse, MixedBoxTreesMatchSerialCollapse) {
+  for (int workers : {1, 2, 8}) {
+    testing::ScopedThreads threads(workers);
+    for (const std::int64_t n : kCollapseSizes) {
+      expect_serial_layout(
+          Bvh<2>(mixed_primitives(n, static_cast<std::uint64_t>(n))),
+          "mixed workers=" + std::to_string(workers) +
+              " n=" + std::to_string(n));
+    }
+  }
+}
+
+TEST(BvhCollapse, IdenticalPointsMatchSerialCollapse) {
+  for (int workers : {1, 2, 8}) {
+    testing::ScopedThreads threads(workers);
+    for (const std::int64_t n : kCollapseSizes) {
+      expect_serial_layout(
+          Bvh<3>(std::vector<Point3>(static_cast<std::size_t>(n),
+                                     Point3{{0.5f, 0.25f, 0.75f}})),
+          "identical workers=" + std::to_string(workers) +
+              " n=" + std::to_string(n));
+    }
+  }
+}
+
+TEST(BvhCollapse, TrivialTreesHaveNoWideNodes) {
+  EXPECT_TRUE(Bvh<2>(std::vector<Point2>{}).nodes().empty());
+  EXPECT_TRUE(Bvh<2>(std::vector<Point2>{{{1.0f, 2.0f}}}).nodes().empty());
 }
 
 }  // namespace

@@ -58,12 +58,20 @@ double prim_mst_weight(const std::vector<Point<DIM>>& pts,
   return total;
 }
 
+// gtest names each case by the raw bytes of its parameter, so the padding
+// is spelled out as zeroed members: uninitialised padding would put stack
+// garbage into the test name and change it from build to build.
 struct EmstCase {
+  EmstCase(std::int64_t n_, int threads_, std::uint64_t seed_, bool clustered_)
+      : n(n_), threads(threads_), seed(seed_), clustered(clustered_) {}
   std::int64_t n;
   int threads;
+  std::uint32_t pad0 = 0;
   std::uint64_t seed;
   bool clustered;
+  std::uint8_t pad1[7] = {};
 };
+static_assert(sizeof(EmstCase) == 32);
 
 class EmstGroundTruth : public ::testing::TestWithParam<EmstCase> {};
 

@@ -6,13 +6,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
 
 #include "core/auto_select.h"
 #include "core/cluster.h"
 #include "core/fdbscan.h"
 #include "core/fdbscan_densebox.h"
+#include "data/generators.h"
+#include "exec/trace.h"
 #include "test_utils.h"
 
 namespace fdbscan {
@@ -203,6 +207,52 @@ TEST(Engine, AutoSelectRoutesThroughEngine) {
                    one_shot.estimated_dense_fraction);
   EXPECT_EQ(via_engine.clustering.labels, one_shot.clustering.labels);
   EXPECT_GE(engine.counters().runs, 1);
+}
+
+// Launch order and query-point source are free to change; the work is
+// not. These values were recorded before the pre phase moved to sorted
+// leaf positions and the collapse became level-synchronous.
+TEST(Engine, HaccLikeCoreFlagsAndCountersArePinned) {
+  data::CosmologyConfig config;
+  config.box_size = 16.0f;
+  const auto points = data::hacc_like(20000, 17, config);
+  for (int workers : {1, 2, 8}) {
+    ScopedThreads threads(workers);
+    Engine<3> engine(points);
+    const Clustering result = engine.run({0.1f, 5});
+    std::uint64_t hash = 1469598103934665603ull;  // FNV-1a over core flags
+    std::int64_t cores = 0;
+    for (const std::uint8_t c : result.is_core) {
+      hash = (hash ^ c) * 1099511628211ull;
+      cores += c;
+    }
+    EXPECT_EQ(cores, 2617) << "workers=" << workers;
+    EXPECT_EQ(hash, 8086973873222166570ull) << "workers=" << workers;
+    EXPECT_EQ(result.num_clusters, 161) << "workers=" << workers;
+    EXPECT_EQ(result.distance_computations, 243192) << "workers=" << workers;
+    EXPECT_EQ(result.index_nodes_visited, 1107390) << "workers=" << workers;
+  }
+}
+
+// Every step of the index phase is a named kernel, the wide-BVH collapse
+// included, so a trace attributes the phase's time.
+TEST(Engine, IndexPhaseLaunchesNamedCollapseKernels) {
+  const auto points = clustered_points<2>(5000, 5, 1.0f, 0.01f, 100);
+  exec::trace_start("");
+  const exec::TraceCursor cursor = exec::trace_cursor();
+  Engine<2> engine(points);
+  const Clustering result = engine.run({0.02f, 5});
+  const auto kernels = exec::trace_kernel_aggregates(cursor);
+  exec::trace_stop();
+  EXPECT_GT(result.timings.index_construction_profile.launches, 0);
+  for (const char* name :
+       {"fdbscan/index/pack-soa", "bvh/build/collapse/expand",
+        "bvh/build/collapse/compact", "bvh/build/collapse/sizes",
+        "bvh/build/collapse/preorder", "bvh/build/collapse/write"}) {
+    EXPECT_TRUE(std::any_of(kernels.begin(), kernels.end(),
+                            [&](const auto& k) { return k.name == name; }))
+        << "missing kernel " << name;
+  }
 }
 
 TEST(Engine, EmptyInputRunsReportNothing) {

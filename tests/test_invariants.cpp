@@ -64,13 +64,23 @@ void check_invariants(const std::vector<Point<DIM>>& points,
   }
 }
 
+// gtest names each case by the raw bytes of its parameter, so the padding
+// is spelled out as zeroed members: uninitialised padding would put stack
+// garbage into the test name and change it from build to build.
 struct InvariantCase {
+  InvariantCase(int dataset_, std::int64_t n_, float eps_,
+                std::int32_t minpts_, int threads_)
+      : dataset(dataset_), n(n_), eps(eps_), minpts(minpts_),
+        threads(threads_) {}
   int dataset;  // 0 ngsim, 1 porto, 2 road
+  std::uint32_t pad0 = 0;
   std::int64_t n;
   float eps;
   std::int32_t minpts;
   int threads;
+  std::uint32_t pad1 = 0;
 };
+static_assert(sizeof(InvariantCase) == 32);
 
 class LargeScaleInvariants : public ::testing::TestWithParam<InvariantCase> {
  protected:

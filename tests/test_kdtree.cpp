@@ -85,11 +85,18 @@ TEST(KdTree, BytesUsedPositive) {
   EXPECT_GT(tree.bytes_used(), 0u);
 }
 
+// gtest names each case by the raw bytes of its parameter, so the padding
+// is spelled out as zeroed members: uninitialised padding would put stack
+// garbage into the test name and change it from build to build.
 struct KdParam {
+  KdParam(std::int64_t n_, float eps_, std::uint64_t seed_)
+      : n(n_), eps(eps_), seed(seed_) {}
   std::int64_t n;
   float eps;
+  std::uint32_t pad0 = 0;
   std::uint64_t seed;
 };
+static_assert(sizeof(KdParam) == 24);
 
 class KdTreeRangeQuery : public ::testing::TestWithParam<KdParam> {};
 

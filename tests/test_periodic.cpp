@@ -126,13 +126,21 @@ TEST(Periodic, CornerWrappingCluster) {
   EXPECT_EQ(result.num_noise(), 0);
 }
 
+// gtest names each case by the raw bytes of its parameter, so the padding
+// is spelled out as zeroed members: uninitialised padding would put stack
+// garbage into the test name and change it from build to build.
 struct PeriodicCase {
+  PeriodicCase(std::int64_t n_, float eps_, std::int32_t minpts_, int threads_,
+               std::uint64_t seed_)
+      : n(n_), eps(eps_), minpts(minpts_), threads(threads_), seed(seed_) {}
   std::int64_t n;
   float eps;
   std::int32_t minpts;
   int threads;
+  std::uint32_t pad0 = 0;
   std::uint64_t seed;
 };
+static_assert(sizeof(PeriodicCase) == 32);
 
 class PeriodicGroundTruth : public ::testing::TestWithParam<PeriodicCase> {};
 

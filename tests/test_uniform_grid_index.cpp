@@ -42,11 +42,18 @@ TEST(UniformGridIndex, BytesUsedPositive) {
   EXPECT_GT(index.bytes_used(), 0u);
 }
 
+// gtest names each case by the raw bytes of its parameter, so the padding
+// is spelled out as zeroed members: uninitialised padding would put stack
+// garbage into the test name and change it from build to build.
 struct GridIndexParam {
+  GridIndexParam(std::int64_t n_, float eps_, std::uint64_t seed_)
+      : n(n_), eps(eps_), seed(seed_) {}
   std::int64_t n;
   float eps;
+  std::uint32_t pad0 = 0;
   std::uint64_t seed;
 };
+static_assert(sizeof(GridIndexParam) == 24);
 
 class UniformGridIndexQuery : public ::testing::TestWithParam<GridIndexParam> {};
 

@@ -114,12 +114,20 @@ TEST(UnionFindView, FlattenIsIdempotent) {
 }
 
 // --- Concurrent stress: random edge list, compare against sequential ---
+// gtest names each case by the raw bytes of its parameter, so the padding
+// is spelled out as zeroed members: uninitialised padding would put stack
+// garbage into the test name and change it from build to build.
 struct StressParam {
+  StressParam(int threads_, std::int32_t n_, std::int32_t edges_,
+              std::uint64_t seed_)
+      : threads(threads_), n(n_), edges(edges_), seed(seed_) {}
   int threads;
   std::int32_t n;
   std::int32_t edges;
+  std::uint32_t pad0 = 0;
   std::uint64_t seed;
 };
+static_assert(sizeof(StressParam) == 24);
 
 class UnionFindStress : public ::testing::TestWithParam<StressParam> {};
 
