@@ -29,10 +29,9 @@
 # nonzero halo volume, so the gate cannot pass vacuously. Its entries
 # also stage the obs registry's per-window deltas (OBS_BENCHES):
 # --gate-obs requires the registry mirror to match ServiceMetrics
-# bit-equal on every shared key. It also carries the task-graph entries
-# (GRAPH_BENCHES): --gate-graph requires graph dispatch bit-equal to
-# fork-join across the worker sweep and saturation QPS at least the
-# fork-join baseline, non-vacuously.
+# bit-equal on every shared key. It also carries the task-graph entry
+# (GRAPH_BENCHES): --gate-graph requires graph-staged sharded requests
+# bit-equal to the barrier waves across the worker sweep, non-vacuously.
 #
 # stream_throughput (in STREAM_BENCHES) is gated on the streaming-session
 # contract (--gate-stream): every sliding-window query equivalent to a
@@ -85,10 +84,9 @@ set(SHARD_BENCHES service_throughput)
 # gated on the mirror cross-check (tools/bench_compare.py --gate-obs).
 set(OBS_BENCHES service_throughput)
 
-# Benches carrying the task-graph entries: gated on the graph contract
-# (tools/bench_compare.py --gate-graph) — graph dispatch bit-equal to
-# fork-join across the worker sweep (densebox and sharded paths
-# included), and saturation QPS at least the fork-join baseline.
+# Benches carrying the task-graph entry: gated on the graph contract
+# (tools/bench_compare.py --gate-graph) — graph-staged sharded requests
+# bit-equal to the barrier waves across the worker sweep.
 set(GRAPH_BENCHES service_throughput)
 
 # Benches carrying streaming-session entries: gated on the stream

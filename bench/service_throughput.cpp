@@ -20,16 +20,12 @@
 //                bit-identical core flags) at 1/2/8 workers x 1/2/4
 //                shards, with a nonzero halo volume whenever shards > 1
 //                (tools/bench_compare.py --gate-shards).
-//   graph_equivalence  the task-graph runtime's correctness gate: graph
-//                dispatch (FDBSCAN_SERVICE_GRAPH) produces bit-identical
-//                core flags, cluster counts and work counters to the
-//                fork-join path at 1/2/8 workers on the single-engine,
-//                densebox and sharded paths (bench_compare.py
-//                --gate-graph).
-//   graph_saturation  closed-loop saturation against one dispatcher with
-//                mixed-size requests: best-of-3 QPS for graph dispatch
-//                vs fork-join — the overlap runtime must not lose
-//                throughput to the baseline (also --gate-graph).
+//   graph_equivalence  the task-graph runtime's correctness gate: a
+//                2-shard request, whose ShardedEngine stages per-shard
+//                chains on the shared scheduler, produces bit-identical
+//                core flags, cluster counts and work counters with
+//                exec::graph enabled and disabled (barrier waves) at
+//                1/2/8 workers (bench_compare.py --gate-graph).
 //
 // Each entry stages its ServiceMetrics into the telemetry "service"
 // block; tools/bench_compare.py --gate-service enforces the invariants.
@@ -38,7 +34,6 @@
 // --gate-obs cross-checks the two bit-equal.
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <chrono>
 #include <future>
 #include <memory>
@@ -307,13 +302,15 @@ void register_all() {
         state.counters["halo_KB"] = static_cast<double>(halo_bytes) / 1024.0;
       });
 
-  // --- Graph-vs-fork-join equivalence --------------------------------------
-  // Worker counts are swept internally (and restored) exactly like
-  // sharded_equivalence, so the verdict counters are worker-count
-  // invariant under the smoke harness's outer 1-vs-8 sweep. Labels are
-  // compared only at workers=1 (the dense mixture has genuinely
-  // ambiguous border points at >1 workers — the schedule-independent
-  // fields are compared everywhere).
+  // --- Graph-vs-waves equivalence -----------------------------------------
+  // The service's sharded requests are the one path that still stages a
+  // task graph, and exec::graph::set_enabled toggles it against the
+  // barrier waves. Worker counts are swept internally (and restored)
+  // exactly like sharded_equivalence, so the verdict counters are
+  // worker-count invariant under the smoke harness's outer 1-vs-8 sweep.
+  // Labels are compared only at workers=1 (the dense mixture has
+  // genuinely ambiguous border points at >1 workers — the
+  // schedule-independent fields are compared everywhere).
   register_custom(
       "service_throughput/graph_equivalence/n=" + std::to_string(n),
       RunMeta{"gaussian", "service-graph", n},
@@ -324,141 +321,44 @@ void register_all() {
         const bool graph_was = exec::graph::enabled();
         std::int64_t checked = 0;
         std::int64_t failures = 0;
-        std::int64_t densebox_runs = 0;
         std::int64_t sharded_runs = 0;
-        struct Case {
-          Method method;
-          std::int32_t shards;
-        };
-        const Case cases[] = {{Method::kFdbscan, 1},
-                              {Method::kDensebox, 1},
-                              {Method::kFdbscan, 2}};
+        constexpr std::int32_t kShards = 2;
         for (int workers : {1, 2, 8}) {
           exec::set_num_threads(workers);
-          for (const Case& c : cases) {
-            std::optional<Clustering> by_mode[2];
-            for (int mode = 0; mode < 2; ++mode) {
-              // Both the service dispatch knob and the global fallback
-              // the sharded path consults, so mode 0 is pure fork-join.
-              exec::graph::set_enabled(mode == 1);
-              ServiceConfig config;
-              config.graph = (mode == 1);
-              ClusterService svc(config);
-              SubmitOptions submit;
-              submit.method = c.method;
-              submit.shards = c.shards;
-              auto r = svc.submit<2>("ds", pts, gparams, submit).get();
-              svc.wait_idle();
-              if (r.has_value()) by_mode[mode].emplace(std::move(*r));
-            }
-            ++checked;
-            const Clustering* fork = by_mode[0] ? &*by_mode[0] : nullptr;
-            const Clustering* graph = by_mode[1] ? &*by_mode[1] : nullptr;
-            const bool ok =
-                fork != nullptr && graph != nullptr &&
-                graph->is_core == fork->is_core &&
-                graph->num_clusters == fork->num_clusters &&
-                graph->distance_computations == fork->distance_computations &&
-                graph->index_nodes_visited == fork->index_nodes_visited &&
-                graph->num_dense_cells == fork->num_dense_cells &&
-                graph->points_in_dense_cells == fork->points_in_dense_cells &&
-                (workers != 1 || graph->labels == fork->labels);
-            if (!ok) ++failures;
-            if (c.method == Method::kDensebox) ++densebox_runs;
-            if (c.shards > 1) ++sharded_runs;
+          std::optional<Clustering> by_mode[2];
+          for (int mode = 0; mode < 2; ++mode) {
+            exec::graph::set_enabled(mode == 1);
+            ClusterService svc;
+            SubmitOptions submit;
+            submit.method = Method::kFdbscan;
+            submit.shards = kShards;
+            auto r = svc.submit<2>("ds", pts, gparams, submit).get();
+            svc.wait_idle();
+            if (r.has_value()) by_mode[mode].emplace(std::move(*r));
           }
+          ++checked;
+          const Clustering* waves = by_mode[0] ? &*by_mode[0] : nullptr;
+          const Clustering* graph = by_mode[1] ? &*by_mode[1] : nullptr;
+          const bool ok =
+              waves != nullptr && graph != nullptr &&
+              graph->is_core == waves->is_core &&
+              graph->num_clusters == waves->num_clusters &&
+              graph->distance_computations == waves->distance_computations &&
+              graph->index_nodes_visited == waves->index_nodes_visited &&
+              graph->num_dense_cells == waves->num_dense_cells &&
+              graph->points_in_dense_cells == waves->points_in_dense_cells &&
+              (workers != 1 || graph->labels == waves->labels);
+          if (!ok) ++failures;
+          // Counts only runs that really took the multi-shard path (a
+          // shard plan that collapsed to one shard stages no graph).
+          if (graph != nullptr && graph->num_shards > 1) ++sharded_runs;
         }
         exec::graph::set_enabled(graph_was);
         exec::set_num_threads(env_threads);
         state.counters["graph_equiv_checked"] = static_cast<double>(checked);
         state.counters["graph_equiv_failures"] = static_cast<double>(failures);
-        state.counters["graph_densebox_runs"] =
-            static_cast<double>(densebox_runs);
         state.counters["graph_sharded_runs"] =
             static_cast<double>(sharded_runs);
-      });
-
-  // --- Graph saturation throughput -----------------------------------------
-  // One dispatcher, a deep queue, mixed-size requests: fork-join runs
-  // each request end-to-end on the dispatcher, while graph dispatch
-  // frees it to stage the next request as soon as the current one's
-  // phases are on the runner pool — the per-request bookkeeping
-  // overlaps the kernels. Best-of-3 per mode, interleaved, so machine
-  // drift hits both modes alike; --gate-graph requires the graph QPS
-  // to at least match fork-join.
-  //
-  // The dataset size is floored: below ~2000 points each phase runs in
-  // microseconds and the comparison degenerates into a benchmark of
-  // raw node-handoff latency rather than dispatch quality, which is
-  // not the contract the gate enforces.
-  const std::int64_t sat_n = std::max<std::int64_t>(n, 2000);
-  register_custom(
-      "service_throughput/graph_saturation/n=" + std::to_string(sat_n),
-      RunMeta{"gaussian", "service-graph", sat_n},
-      [=](benchmark::State& state) {
-        const Parameters sat_params{0.01f, 10};
-        const auto small =
-            make_dataset(std::max<std::int64_t>(sat_n / 4, 64), 46);
-        const auto large = make_dataset(sat_n, 47);
-        const bool graph_was = exec::graph::enabled();
-        constexpr int kInflight = 8;
-        constexpr int kWaves = 6;
-        SubmitOptions plain;
-        plain.method = Method::kFdbscan;
-        std::int64_t total_done = 0;
-        const auto measure = [&](ClusterService& svc) {
-          // Warmup wave: both datasets' indexes built outside the
-          // timed window.
-          (void)svc.submit<2>("small", small, sat_params, plain).get();
-          (void)svc.submit<2>("large", large, sat_params, plain).get();
-          svc.wait_idle();
-          const auto t0 = std::chrono::steady_clock::now();
-          std::int64_t done = 0;
-          for (int wave = 0; wave < kWaves; ++wave) {
-            std::vector<std::future<ServiceResult>> inflight;
-            inflight.reserve(kInflight);
-            for (int i = 0; i < kInflight; ++i) {
-              const bool big = (i % 2) == 0;
-              Parameters p = sat_params;
-              p.minpts = 5 + i;  // mixed parameters, warm index
-              inflight.push_back(svc.submit<2>(big ? "large" : "small",
-                                               big ? large : small, p, plain));
-            }
-            for (auto& f : inflight) {
-              if (f.get().has_value()) ++done;
-            }
-          }
-          svc.wait_idle();
-          const double secs =
-              std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                            t0)
-                  .count();
-          total_done += done;
-          return secs > 0.0 ? static_cast<double>(done) / secs : 0.0;
-        };
-        double qps[2] = {0.0, 0.0};
-        for (int rep = 0; rep < 3; ++rep) {
-          for (int mode = 0; mode < 2; ++mode) {
-            exec::graph::set_enabled(mode == 1);
-            ServiceConfig config;
-            config.dispatchers = 1;
-            config.queue_capacity = 64;
-            config.graph = (mode == 1);
-            ClusterService svc(config);
-            qps[mode] = std::max(qps[mode], measure(svc));
-          }
-        }
-        exec::graph::set_enabled(graph_was);
-        state.counters["forkjoin_qps"] = qps[0];
-        state.counters["graph_qps"] = qps[1];
-        state.counters["saturation_requests"] =
-            static_cast<double>(total_done);
-        // On a single-core machine phase overlap is physically
-        // impossible and graph dispatch can only pay its handoff cost;
-        // --gate-graph reads this to decide between the strict >=
-        // contract and the single-core overhead budget.
-        state.counters["saturation_cores"] =
-            static_cast<double>(std::thread::hardware_concurrency());
       });
 
   // --- Cancellation latency ----------------------------------------------

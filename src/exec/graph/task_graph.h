@@ -4,9 +4,9 @@
 // A TaskGraph is a DAG whose nodes wrap closures that issue the existing
 // labeled parallel_for/reduce/scan launches. The scheduler runs every
 // node whose dependencies have completed on a small process-wide pool of
-// runner threads, so independent nodes — phases of *different* service
-// requests, or different shards of one sharded run — overlap instead of
-// queueing behind whole-request barriers.
+// runner threads, so independent nodes — different shards of one
+// sharded run, or of concurrent sharded runs — overlap instead of
+// queueing behind wave barriers.
 //
 // Interaction with the DESIGN §7 serialization rule: node bodies stay
 // whole-kernel granular. A runner thread issuing a top-level launch
@@ -204,10 +204,12 @@ class GraphScheduler {
 /// constructed; runner count clamped to [2, 8] from hardware/2).
 GraphScheduler& shared_scheduler();
 
-/// The FDBSCAN_SERVICE_GRAPH knob: graph dispatch is the default;
-/// setting the variable to "0" falls back to fork-join everywhere the
-/// knob is consulted. Read once and cached; set_enabled() overrides for
-/// tests and benches.
+/// The FDBSCAN_SERVICE_GRAPH knob. Its one consumer is
+/// ShardedEngine::run: on (the default) stages the per-shard chains as
+/// a task graph, "0" runs the barrier waves instead. ClusterService
+/// does not read it — service requests always dispatch fork-join, and
+/// reach the graph only through their sharded runs. Read once and
+/// cached; set_enabled() overrides for tests and benches.
 [[nodiscard]] bool enabled();
 void set_enabled(bool on);
 

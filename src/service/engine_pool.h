@@ -11,9 +11,7 @@
 //     Lease that holds the flag, so concurrent requests against one
 //     dataset serialize on the warm engine instead of each building a
 //     cold one. Requests against distinct datasets run fully in
-//     parallel. The flag (not a held mutex) lets a lease acquired on a
-//     service dispatcher be released by the graph runner that finishes
-//     the request's task graph.
+//     parallel.
 //   * Eviction is LRU over entries with no lease and no pin outstanding.
 //     An entry that is leased or pinned is never destroyed under the
 //     caller — the pool may temporarily exceed its capacity when every
@@ -89,10 +87,8 @@ class EnginePool {
     int dim = 0;
     std::shared_ptr<void> engine;  // keeps the points alive via its holder
     EngineCounters (*counters)(const void*) = nullptr;
-    // One run at a time per engine. A cv-guarded flag rather than a held
-    // mutex: a graph-mode request acquires its lease on a dispatcher but
-    // releases it from the scheduler runner that finishes the graph, and
-    // a std::mutex must be unlocked by its locking thread.
+    // One run at a time per engine: a cv-guarded flag, which
+    // dataset_stats() also waits on to read an idle entry's counters.
     std::mutex run_mutex;
     std::condition_variable run_cv;
     bool running = false;
@@ -117,10 +113,7 @@ class EnginePool {
   EnginePool& operator=(const EnginePool&) = delete;
 
   /// Exclusive use of one dataset's engine: holds the entry's running
-  /// flag (and a liveness reference) until destruction. Unlike a held
-  /// mutex, the flag may be released by a different thread than acquired
-  /// it — graph-mode requests destroy their lease from the scheduler
-  /// runner that completes the graph, not the dispatcher that staged it.
+  /// flag (and a liveness reference) until destruction.
   class Lease {
    public:
     Lease() = default;

@@ -11,6 +11,7 @@
 #include <set>
 #include <string>
 
+#include "exec/graph/task_graph.h"
 #include "exec/trace.h"
 #include "obs/log.h"
 
@@ -143,8 +144,7 @@ ClusterService::ClusterService(const ServiceConfig& config)
                   {"dispatchers", config_.dispatchers},
                   {"engine_capacity", config_.engine_capacity},
                   {"shards", config_.shards},
-                  {"session_capacity", config_.session_capacity},
-                  {"graph", config_.graph ? 1 : 0}});
+                  {"session_capacity", config_.session_capacity}});
 }
 
 ClusterService::~ClusterService() {
@@ -156,16 +156,6 @@ ClusterService::~ClusterService() {
   }
   cv_queue_.notify_all();
   for (std::thread& t : dispatchers_) t.join();
-  // Graph-dispatched requests may still be in flight on the scheduler's
-  // runners after the dispatchers are gone; their completions touch this
-  // service (counters, queue mutex, promises). active_ covers them until
-  // complete_graph runs, so waiting for zero here is the async drain.
-  // The watchdog stays up until then — in-flight graphs keep their
-  // deadline enforcement through shutdown.
-  {
-    std::unique_lock<std::mutex> lock(queue_mutex_);
-    cv_idle_.wait(lock, [&] { return active_ == 0; });
-  }
   {
     std::lock_guard<std::mutex> lock(wd_mutex_);
     wd_stop_ = true;
@@ -319,10 +309,8 @@ void ClusterService::dispatcher_loop(int index) {
       obs_.queued.add(-1);
       obs_.active.add(1);
     }
-    const bool deferred = process(*req, track_floor_ns);
-    // A deferred request is still active: the graph scheduler owns it
-    // now, and complete_graph performs this decrement when it resolves.
-    if (!deferred) {
+    process(*req, track_floor_ns);
+    {
       std::lock_guard<std::mutex> lock(queue_mutex_);
       --active_;
       obs_.active.add(-1);
@@ -331,7 +319,7 @@ void ClusterService::dispatcher_loop(int index) {
   }
 }
 
-bool ClusterService::process(Request& req, std::int64_t& track_floor_ns) {
+void ClusterService::process(Request& req, std::int64_t& track_floor_ns) {
   // Request-id context for the whole dispatch: the queue-wait and run
   // spans below, every span/log line emitted inside run_request (engine
   // lease, phase spans, shard waves) and the request_done event all
@@ -347,12 +335,6 @@ bool ClusterService::process(Request& req, std::int64_t& track_floor_ns) {
                             "service");
   }
 
-  if (config_.graph && req.op == Op::kCluster && req.stage != nullptr) {
-    const bool deferred = process_graph(req, start_ns, wait_ns);
-    track_floor_ns = exec::trace_now_ns();
-    return deferred;
-  }
-
   // Expected<> has no default construction; exactly one of these is
   // engaged per op (kCluster/kSessionQuery produce a Clustering, the
   // session mutations a SessionDelta) and resolves the matching promise.
@@ -365,124 +347,6 @@ bool ClusterService::process(Request& req, std::int64_t& track_floor_ns) {
   }
   finish_request(req, std::move(result), std::move(delta), start_ns, wait_ns);
   track_floor_ns = exec::trace_now_ns();
-  return false;
-}
-
-bool ClusterService::process_graph(Request& req, std::int64_t start_ns,
-                                   std::int64_t wait_ns) {
-  // The dispatcher half of a graph dispatch mirrors run_request's
-  // prologue exactly: cancel fast-fail, engine lease, one-time scan —
-  // then stages the run instead of executing it. Failures here resolve
-  // the request immediately (return false: not deferred).
-  auto state = std::make_shared<DeferredRun>();
-  state->start_ns = start_ns;
-  state->wait_ns = wait_ns;
-  // Tracks which Request object is live: `req` until it is moved into
-  // the deferred state (which must happen before submit — a fast graph
-  // could complete, and complete_graph read state->req, before this
-  // thread regains control), state->req after. submit() can throw
-  // (bad_alloc building the run; std::system_error lazily constructing
-  // shared_scheduler's runner threads happens before anything is
-  // enqueued, so no completion can race these handlers) — the catch
-  // blocks must resolve whichever object still owns the promise, never
-  // the moved-from shell.
-  Request* live_req = &req;
-  try {
-    exec::CancelScope scope(*req.token);
-    exec::throw_if_cancelled();  // raised while queued: skip all work
-    state->lease.emplace(
-        pool_.acquire(req.dataset_id, req.dim, req.make_engine, req.counters));
-    EnginePool::Lease& lease = *state->lease;
-    if (!lease.validated()) {
-      exec::throw_if_cancelled();
-      if (auto error = req.scan(lease.engine())) {
-        finish_request(req, ServiceResult(*std::move(error)), std::nullopt,
-                       start_ns, wait_ns);
-        return false;
-      }
-      lease.set_validated();
-    }
-    exec::graph::TaskGraph g;
-    state->out = req.stage(lease.engine(), g, req.params, req.options,
-                           req.method, req.shards);
-    // Hand the request to the scheduler. submit() captures the ambient
-    // token (req.token, installed by the scope above — it outlives the
-    // run inside state->req) and this thread's request id, so every
-    // node polls the right token and attributes its span to req.id.
-    state->req = std::move(req);
-    live_req = &state->req;
-    const Expected<exec::graph::GraphScheduler::Handle> handle =
-        exec::graph::shared_scheduler().submit(
-            std::move(g),
-            [this, state](const exec::graph::GraphStats&,
-                          std::exception_ptr error) {
-              complete_graph(*state, error);
-            });
-    if (!handle.has_value()) {
-      // Unreachable for staged graphs (they are DAGs by construction);
-      // resolve rather than hang the future if it ever happens.
-      finish_request(state->req,
-                     ServiceResult(Error{ErrorCode::kInternal,
-                                         handle.error().message}),
-                     std::nullopt, start_ns, wait_ns);
-      return false;
-    }
-    return true;
-  } catch (const exec::CancelledError& e) {
-    const bool deadline = e.reason() == exec::CancelReason::kDeadlineExceeded;
-    finish_request(*live_req,
-                   ServiceResult(Error{deadline ? ErrorCode::kDeadlineExceeded
-                                                : ErrorCode::kCancelled,
-                                       e.what()}),
-                   std::nullopt, start_ns, wait_ns);
-    return false;
-  } catch (const std::exception& e) {
-    finish_request(*live_req,
-                   ServiceResult(Error{ErrorCode::kInternal,
-                                       std::string("dispatcher caught: ") +
-                                           e.what()}),
-                   std::nullopt, start_ns, wait_ns);
-    return false;
-  }
-}
-
-void ClusterService::complete_graph(DeferredRun& run,
-                                    std::exception_ptr error) {
-  // Runs on the scheduler runner that finished (or failed) the graph's
-  // last node. Must not throw (GraphScheduler::Completion contract).
-  obs::RequestScope rid_scope(run.req.id);
-  std::optional<ServiceResult> result;
-  if (error == nullptr) {
-    result.emplace(std::move(*run.out));
-  } else {
-    try {
-      std::rethrow_exception(error);
-    } catch (const exec::CancelledError& e) {
-      const bool deadline =
-          e.reason() == exec::CancelReason::kDeadlineExceeded;
-      result.emplace(Error{deadline ? ErrorCode::kDeadlineExceeded
-                                    : ErrorCode::kCancelled,
-                           e.what()});
-    } catch (const std::exception& e) {
-      result.emplace(Error{ErrorCode::kInternal,
-                           std::string("graph runner caught: ") + e.what()});
-    } catch (...) {
-      result.emplace(Error{ErrorCode::kInternal,
-                           "graph runner caught a non-exception throw"});
-    }
-  }
-  // Release the engine before resolving: a caller that waits on the
-  // future and immediately resubmits against the same dataset must find
-  // the lease free (same ordering finish_request keeps for busy tokens).
-  run.lease.reset();
-  finish_request(run.req, std::move(result), std::nullopt, run.start_ns,
-                 run.wait_ns);
-  {
-    std::lock_guard<std::mutex> lock(queue_mutex_);
-    --active_;
-    obs_.active.add(-1);
-    if (queue_.empty() && active_ == 0) cv_idle_.notify_all();
-  }
 }
 
 void ClusterService::finish_request(Request& req,
@@ -569,23 +433,7 @@ ServiceResult ClusterService::run_request(Request& req) {
         return Error{ErrorCode::kInvalidSession,
                      "session open did not complete"};
       }
-      Clustering result;
-      if (config_.graph) {
-        // Session queries keep their synchronous shape (the dispatcher
-        // holds the session's turn), but the query body runs as a graph
-        // node so its work lands on the runner pool with a rid-tagged
-        // node span, interleaving with other requests' phases.
-        exec::graph::TaskGraph g;
-        g.add_node("stream/query",
-                   [&result, &s] { result = s.query_fn(s.stream.get()); });
-        const Expected<exec::graph::GraphStats> done =
-            exec::graph::shared_scheduler().run(std::move(g));
-        if (!done.has_value()) {  // unreachable: single node, no edges
-          return Error{ErrorCode::kInternal, done.error().message};
-        }
-      } else {
-        result = s.query_fn(s.stream.get());
-      }
+      Clustering result = s.query_fn(s.stream.get());
       session_queries_.fetch_add(1, std::memory_order_relaxed);
       obs_.session_queries.inc();
       note_session_rebuilds(s);
@@ -973,7 +821,7 @@ std::string to_prometheus_text(const ServiceSnapshot& snap) {
       " engine_capacity=" + std::to_string(snap.config.engine_capacity) +
       " shards=" + std::to_string(snap.config.shards) +
       " session_capacity=" + std::to_string(snap.config.session_capacity) +
-      " graph=" + std::to_string(snap.config.graph ? 1 : 0) + "\n";
+      "\n";
   out += obs::to_prometheus_text(to_metrics(snap));
   return out;
 }
@@ -989,8 +837,6 @@ std::string to_json(const ServiceSnapshot& snap) {
   out += std::to_string(snap.config.shards);
   out += ",\"session_capacity\":";
   out += std::to_string(snap.config.session_capacity);
-  out += ",\"graph\":";
-  out += snap.config.graph ? "true" : "false";
   out += "},\"metrics\":";
   out += obs::to_json(to_metrics(snap));
   out += "}";

@@ -36,20 +36,16 @@
 // at open (that is what makes incremental maintenance sound); per-op
 // deadlines and tokens still apply.
 //
-// Task-graph dispatch (DESIGN.md §15): with ServiceConfig::graph set
-// (the default), a dispatcher stages a clustering request's phases into
-// a TaskGraph, submits it to the shared scheduler and moves on — the
-// request finishes from the runner that completes its last node, so
-// phases of different requests overlap on the runner pool and service
-// concurrency is bounded by runners, not dispatchers. Fork-join
-// dispatch (FDBSCAN_SERVICE_GRAPH=0) runs the request inline on the
-// dispatcher as before; kernel labels and work counters are
-// bit-identical between the modes.
+// Dispatch: every request runs on the dispatcher that dequeued it —
+// engine lease, one-time scan, then the run's phases in sequence
+// (fork-join). Sharded requests are the one place a request's phases
+// become a task graph: ShardedEngine stages its per-shard chains on the
+// shared scheduler when exec::graph::enabled() (DESIGN.md §15), and the
+// dispatcher blocks on that graph like on any other run.
 //
 // Knobs: FDBSCAN_SERVICE_QUEUE_CAP, FDBSCAN_SERVICE_DISPATCHERS,
-// FDBSCAN_SERVICE_SHARDS, FDBSCAN_SERVICE_SESSION_CAP,
-// FDBSCAN_SESSION_REBUILD_PCT and FDBSCAN_SERVICE_GRAPH seed
-// ServiceConfig::from_env().
+// FDBSCAN_SERVICE_SHARDS, FDBSCAN_SERVICE_SESSION_CAP and
+// FDBSCAN_SESSION_REBUILD_PCT seed ServiceConfig::from_env().
 //
 // Caveat: per-request Options::memory trackers are not thread-safe; do
 // not share one MemoryTracker across requests that may run concurrently.
@@ -81,7 +77,6 @@
 #include "core/cluster.h"
 #include "core/request.h"
 #include "exec/cancel.h"
-#include "exec/graph/task_graph.h"
 #include "obs/metrics.h"
 #include "obs/request_id.h"
 #include "service/engine_pool.h"
@@ -115,14 +110,10 @@ struct ServiceConfig {
   /// points + retired slots) exceeds this percent of the live set.
   /// Env: FDBSCAN_SESSION_REBUILD_PCT.
   std::int32_t session_rebuild_pct = 25;
-  /// Dispatch one-shot clustering requests as task graphs on the shared
-  /// scheduler (exec/graph, DESIGN.md §15): dispatchers stage and submit
-  /// instead of running inline, so a dispatcher frees up while the
-  /// graph's phases run — and phases of *different* requests overlap on
-  /// the runner pool. false falls back to today's fork-join dispatch;
-  /// kernel labels and work counters are bit-identical either way.
-  /// Env: FDBSCAN_SERVICE_GRAPH ("0" = fork-join; default on).
-  bool graph = exec::graph::enabled();
+  /// Requests always run fork-join on their dispatcher; there is no
+  /// graph dispatch to select. A constant, not a setting, kept so run
+  /// reports that record the dispatch mode still read it.
+  static constexpr bool graph = false;
 
   /// Defaults overridden by the FDBSCAN_SERVICE_* environment knobs.
   [[nodiscard]] static ServiceConfig from_env();
@@ -351,47 +342,6 @@ Clustering run_typed(void* holder, const Parameters& params,
   return fdbscan_auto(h->engine, params, options).clustering;
 }
 
-/// Graph-mode twin of run_typed: appends the request's phases to `g`
-/// instead of running them, returning the shared slot the finished graph
-/// leaves the Clustering in. Staging happens on the dispatcher (like the
-/// fork-join prologue): the kAuto density estimate, sharded plan build
-/// and per-phase kernel set are identical to run_typed's, so labels and
-/// work counters stay bit-identical between the two dispatch modes.
-template <int DIM>
-std::shared_ptr<Clustering> stage_typed(void* holder,
-                                        exec::graph::TaskGraph& g,
-                                        const Parameters& params,
-                                        const Options& options, Method method,
-                                        std::int32_t shards) {
-  auto* h = static_cast<EngineHolder<DIM>*>(holder);
-  if (shards > 1) {
-    auto sharded = std::make_shared<shard::ShardedResult>();
-    const exec::graph::NodeId tail =
-        h->sharded_for(shards).stage(g, params, options, sharded);
-    auto out = std::make_shared<Clustering>();
-    g.add_edge(tail, g.add_node("service/collect", [sharded, out] {
-                 *out = std::move(sharded->clustering);
-               }));
-    return out;
-  }
-  Method resolved = method;
-  if (resolved == Method::kAuto) {
-    // The same subsample estimate fdbscan_auto runs, in the same spot
-    // (before the run's first phase, on the dispatching thread).
-    const AutoSelectConfig auto_config;
-    resolved = estimate_dense_fraction(h->engine.points(), params,
-                                       auto_config) >=
-                       auto_config.densebox_threshold
-                   ? Method::kDensebox
-                   : Method::kFdbscan;
-  }
-  StagedRun staged = resolved == Method::kDensebox
-                         ? h->engine.stage_densebox(params, options)
-                         : h->engine.stage(params, options);
-  g.add_chain(std::move(staged.phases));
-  return staged.result;
-}
-
 /// Strict parse of a FDBSCAN_SERVICE_* knob value: the whole string must
 /// be a base-10 integer that fits in int and is > 0. Anything else —
 /// empty, trailing junk, zero, negative, overflow — is rejected
@@ -519,7 +469,6 @@ class ClusterService {
     req.counters = &detail::counters_typed<DIM>;
     req.scan = &detail::scan_typed<DIM>;
     req.run = &detail::run_typed<DIM>;
-    req.stage = &detail::stage_typed<DIM>;
     enqueue(std::move(req), spec.deadline_ms);
     return future;
   }
@@ -771,12 +720,6 @@ class ClusterService {
     std::optional<Error> (*scan)(const void*) = nullptr;
     Clustering (*run)(void*, const Parameters&, const Options&, Method,
                       std::int32_t) = nullptr;
-    /// Graph-mode twin of `run` (detail::stage_typed): stages the run's
-    /// phases into a TaskGraph instead of executing them. Used only when
-    /// ServiceConfig::graph is set and op == kCluster.
-    std::shared_ptr<Clustering> (*stage)(void*, exec::graph::TaskGraph&,
-                                         const Parameters&, const Options&,
-                                         Method, std::int32_t) = nullptr;
     /// Session-op fields (op != kCluster).
     std::shared_ptr<detail::SessionState> session;
     std::promise<SessionResult> delta_promise;
@@ -868,39 +811,17 @@ class ClusterService {
   [[nodiscard]] std::future<SessionResult> reject_session(Error error);
   void close_session(std::uint64_t id);
 
-  /// One graph-dispatched request in flight: everything the graph's
-  /// completion callback (invoked on a scheduler runner) needs to finish
-  /// the request. Holds the engine lease until completion, so per-
-  /// dataset serialization spans the whole graph exactly like the
-  /// fork-join dispatch (the cv-based Lease releases thread-agnostically).
-  struct DeferredRun {
-    Request req;
-    std::optional<EnginePool::Lease> lease;
-    std::shared_ptr<Clustering> out;
-    std::int64_t start_ns = 0;
-    std::int64_t wait_ns = 0;
-  };
-
   static void reject_request(Request& req, Error error);
   void enqueue(Request req, double deadline_ms);
   void dispatcher_loop(int index);
   void watchdog_loop();
-  /// Returns true when the request was deferred to the graph scheduler:
-  /// its terminal accounting (and the active_ decrement) happen in
-  /// complete_graph, not in the dispatcher.
-  [[nodiscard]] bool process(Request& req, std::int64_t& track_floor_ns);
-  /// Graph dispatch of a kCluster request: lease + scan + stage on the
-  /// dispatcher, then submit with a completion. Returns false (request
-  /// fully resolved here) when admission-time work failed.
-  [[nodiscard]] bool process_graph(Request& req, std::int64_t start_ns,
-                                   std::int64_t wait_ns);
-  /// Terminal accounting shared by both dispatch modes: run-time
-  /// histogram/span, busy-token release, outcome counters, request_done
-  /// log line, promise resolution. Exactly one of result/delta is set.
+  void process(Request& req, std::int64_t& track_floor_ns);
+  /// Terminal accounting: run-time histogram/span, busy-token release,
+  /// outcome counters, request_done log line, promise resolution.
+  /// Exactly one of result/delta is set.
   void finish_request(Request& req, std::optional<ServiceResult> result,
                       std::optional<SessionResult> delta,
                       std::int64_t start_ns, std::int64_t wait_ns);
-  void complete_graph(DeferredRun& run, std::exception_ptr error);
   [[nodiscard]] ServiceResult run_request(Request& req);
   [[nodiscard]] SessionResult run_session_mutation(Request& req);
   /// Fold a session's not-yet-reported index rebuilds into the

@@ -23,8 +23,9 @@
 //   wave 3  per-shard traversal + global union-find  (main)
 //   coordinator: flatten + finalize           (finalization)
 //
-// In graph mode (exec/graph, the default; FDBSCAN_SERVICE_GRAPH=0 falls
-// back to the waves) the same per-shard bodies become task-graph nodes
+// In graph mode (exec/graph; on unless exec::graph::enabled() says
+// otherwise — FDBSCAN_SERVICE_GRAPH=0 selects the waves) the same
+// per-shard bodies become task-graph nodes
 // and the barriers become edges: index[r] -> pre[r] -> main[r] chains
 // per shard, with pre[s] -> main[r] for every (s, r) pair standing in
 // for the ghost core-flag exchange (main reads ghost flags other shards
@@ -278,9 +279,12 @@ class ShardedEngine {
   /// BVHs are cached, so repeated runs at the same eps rebuild nothing.
   /// Note: the pair-once rule replaces the masked-traversal optimization
   /// (it needs global-id order, not leaf order), so
-  /// options.masked_traversal is ignored on this path. Dispatches to the
-  /// task graph or the fork-join waves per the FDBSCAN_SERVICE_GRAPH
-  /// knob; work counters are bit-identical between the two.
+  /// options.masked_traversal is ignored on this path. Runs as a task
+  /// graph or as the fork-join waves per exec::graph::enabled() (the
+  /// FDBSCAN_SERVICE_GRAPH knob); work counters are bit-identical
+  /// between the two. ClusterService's sharded requests come through
+  /// here, so this is the one service path that reaches the graph
+  /// runtime.
   [[nodiscard]] ShardedResult run(const Parameters& params,
                                   const Options& options = {}) {
     return run(params, options, exec::graph::enabled());

@@ -45,14 +45,10 @@ Usage:
                        vacuous match is a broken gate
   bench_compare.py --gate-graph FILE [...]         check the task-graph
                        runtime contract (DESIGN.md §15) over entries
-                       carrying graph counters: zero graph-vs-fork-join
-                       equivalence failures across the worker sweep
-                       (with densebox and sharded runs present, so the
-                       gate cannot pass vacuously), and saturation QPS
-                       under graph dispatch at least matching the
-                       fork-join baseline (on a single-core machine,
-                       where overlap is impossible, within a 10%
-                       handoff budget instead)
+                       carrying graph counters: zero graph-vs-waves
+                       equivalence failures for sharded requests across
+                       the worker sweep, with multi-shard runs present
+                       so the gate cannot pass vacuously
   bench_compare.py --gate-simd SCALAR.json SIMD.json
                        check that the vectorized backend does not lose to
                        the scalar one: over name-matched fdbscan /
@@ -452,30 +448,21 @@ def gate_stream(doc, path):
 def gate_graph(doc, path):
     """Single-file gate over the task-graph runtime contract (DESIGN.md
     §15), applied to entries carrying graph counters (the
-    graph_equivalence and graph_saturation entries of
-    service_throughput):
+    graph_equivalence entry of service_throughput, which runs the
+    service's 2-shard requests with exec::graph enabled and disabled):
 
-      * graph_equiv_checked > 0 and graph_equiv_failures == 0: graph
-        dispatch produced bit-identical core flags, cluster counts and
-        work counters to the fork-join path at every swept worker count;
-      * graph_densebox_runs > 0 and graph_sharded_runs > 0: the sweep
-        covered the densebox and sharded paths, not just plain FDBSCAN
-        (a single-path pass would be near-vacuous);
-      * graph_qps >= forkjoin_qps on the saturation entry: running the
-        phases through the dependency scheduler must not lose closed-loop
-        throughput to the fork-join baseline. On a single-core machine
-        (saturation_cores <= 1) overlap is physically impossible and
-        graph dispatch can only pay its runner-handoff cost, so the
-        contract degrades to a 10% overhead budget there;
-      * saturation_requests > 0: the QPS comparison measured real
-        requests.
+      * graph_equiv_checked > 0 and graph_equiv_failures == 0: the
+        graph-staged sharded run produced bit-identical core flags,
+        cluster counts and work counters to the barrier waves at every
+        swept worker count;
+      * graph_sharded_runs > 0: the graph runs really took the
+        multi-shard path (a single-shard run stages no graph, so a pass
+        without one would be vacuous).
 
-    Zero matching entries — or an equivalence sweep without a saturation
-    entry — is itself a violation: a gate that never fires is
-    indistinguishable from a broken one."""
+    Zero matching entries is itself a violation: a gate that never
+    fires is indistinguishable from a broken one."""
     violations = []
     checked = 0
-    saturation_entries = 0
     for e in doc["entries"]:
         if e.get("error"):
             continue
@@ -491,50 +478,17 @@ def gate_graph(doc, path):
                 violations.append(
                     f"{name}: graph_equiv_failures="
                     f"{counters.get('graph_equiv_failures')!r} — graph "
-                    "dispatch diverged from the fork-join reference")
-            if counters.get("graph_densebox_runs", 0) <= 0:
-                violations.append(
-                    f"{name}: graph_densebox_runs="
-                    f"{counters.get('graph_densebox_runs', 0):g} — the "
-                    "densebox path went unchecked")
+                    "staging diverged from the barrier-wave reference")
             if counters.get("graph_sharded_runs", 0) <= 0:
                 violations.append(
                     f"{name}: graph_sharded_runs="
                     f"{counters.get('graph_sharded_runs', 0):g} — the "
                     "sharded path went unchecked")
-        if "graph_qps" in counters:
-            checked += 1
-            saturation_entries += 1
-            if counters.get("saturation_requests", 0) <= 0:
-                violations.append(
-                    f"{name}: saturation_requests="
-                    f"{counters.get('saturation_requests', 0):g} — the "
-                    "saturation loop completed no requests")
-            forkjoin = counters.get("forkjoin_qps", 0.0)
-            graph = counters["graph_qps"]
-            if forkjoin <= 0.0:
-                violations.append(
-                    f"{name}: forkjoin_qps={forkjoin:g} — no baseline was "
-                    "measured, the QPS comparison is vacuous")
-            else:
-                single_core = counters.get("saturation_cores", 0) <= 1
-                floor = forkjoin * 0.90 if single_core else forkjoin
-                if graph < floor:
-                    budget = (" (single-core 10% handoff budget)"
-                              if single_core else "")
-                    violations.append(
-                        f"{name}: graph_qps={graph:g} fell below the "
-                        f"fork-join baseline {forkjoin:g}{budget} — graph "
-                        "dispatch lost saturation throughput")
     if checked == 0:
         violations.append(
             f"{path}: no entries carry graph counters — the graph gate is "
-            "vacuous (did service_throughput drop its graph_equivalence / "
-            "graph_saturation entries?)")
-    elif saturation_entries == 0:
-        violations.append(
-            f"{path}: no entries carry a graph_qps counter — the "
-            "saturation throughput claim went unchecked")
+            "vacuous (did service_throughput drop its graph_equivalence "
+            "entry?)")
     return violations, checked
 
 
@@ -688,10 +642,9 @@ def main(argv):
                              "§14)")
     parser.add_argument("--gate-graph", action="store_true",
                         help="check the task-graph runtime contract "
-                             "(DESIGN.md §15): zero graph-vs-fork-join "
-                             "equivalence failures across the worker sweep "
-                             "and saturation QPS at least matching the "
-                             "fork-join baseline, non-vacuously")
+                             "(DESIGN.md §15): zero graph-vs-waves "
+                             "equivalence failures for sharded requests "
+                             "across the worker sweep, non-vacuously")
     parser.add_argument("--gate-simd", action="store_true",
                         help="two-file mode (SCALAR.json SIMD.json): the "
                              "SIMD run's summed traversal-phase wall over "
@@ -808,9 +761,9 @@ def main(argv):
                 print(f"FAIL: {v}", file=sys.stderr)
             if violations:
                 return 1
-            print("ok: graph contract holds (graph dispatch bit-equal to "
-                  "fork-join across the worker sweep, saturation QPS at "
-                  "least the fork-join baseline)")
+            print("ok: graph contract holds (graph-staged sharded runs "
+                  "bit-equal to the barrier waves across the worker "
+                  "sweep)")
             return 0
         if args.gate_simd:
             if len(args.files) != 2:
