@@ -647,10 +647,15 @@ class Engine {
       // here (unless a caller supplied one) and freed right after.
       const auto n = static_cast<std::int64_t>(points_->size());
       if (pending_soa_.size() != n) {
-        pending_soa_.resize(n);
+        // Packed into a local and published only once complete: a pack
+        // cancelled midway must not leave a partial store that the next
+        // build would take as packed.
+        PointsStore<DIM> soa;
+        soa.resize(n);
         exec::parallel_for("fdbscan/index/pack-soa", n, [&](std::int64_t i) {
-          pending_soa_.set(i, (*points_)[static_cast<std::size_t>(i)]);
+          soa.set(i, (*points_)[static_cast<std::size_t>(i)]);
         });
+        pending_soa_ = std::move(soa);
       }
       bvh_ = std::make_unique<Bvh<DIM>>(pending_soa_.view());
       pending_soa_ = PointsStore<DIM>{};

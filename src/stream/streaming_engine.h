@@ -1,54 +1,59 @@
-// Streaming clustering sessions: incremental insert/expire on a warm
-// Engine (DESIGN.md §14).
+// Streaming clustering sessions: append/expire/query on a mutable
+// point set (DESIGN.md §14).
 //
 // A StreamingEngine owns a *mutable logical point set* ordered by
 // arrival: every inserted point gets a monotone sequence number, and
 // expire(before_seq) retires the oldest prefix (the sliding-window
 // pattern of trajectory workloads). The structures:
 //
-//   * base_   — points covered by the eps-independent point BVH of an
-//     inner Engine (core/engine.h). Built by the last full Morton
-//     re-sort; never mutated in place.
-//   * delta_  — the side buffer: points inserted since the last rebuild,
-//     mirrored into a padded SoA so membership probes run through the
-//     exec/simd.h lane-group kernels (count_within / for_each_within).
+//   * base_   — points covered by the point BVH of an inner Engine
+//     (core/engine.h), in sequence order; never mutated in place.
+//   * delta_  — the side buffer: points appended since the last
+//     compaction, mirrored into a padded SoA so membership probes run
+//     through the exec/simd.h lane-group kernel (for_each_within).
 //   * live_begin_ — lazy expiry. Sequence numbers are assigned in slot
 //     order (base first, then delta), so the retired set is always a
-//     slot *prefix*: expire just advances one cursor and dead base
-//     points are filtered out of BVH probe results by an id compare.
+//     slot *prefix*: expire just advances one cursor.
 //
-// A query clusters the live set with the same two-phase kernels as
-// Engine::run — core counting, then fused traverse+union — except every
-// neighborhood probe is the union of a (dead-filtered) BVH traversal
-// over base_ and a lane-group scan over the live delta. Because the
-// logical point set and the resolved edge set are exactly those of a
-// from-scratch run, labels are equivalent (up to cluster renumbering and
-// the usual border-claim freedom) and core flags are bit-identical to
+// Mutations do no clustering work: insert() appends to the delta and
+// expire() advances the cursor. A query does one of two things:
+//
+//   * Recluster (first query, any expiry since the last query, or a
+//     cancelled query): compact the live set into the base unless it
+//     already is exactly the base, and return Engine::run over it — the
+//     one-shot Morton-ordered, masked two-phase path, so labels, core
+//     flags and work counters are those of fdbscan(live_points()). The
+//     session state (core flags, a union-find rooted at core members) is
+//     rebuilt from that result.
+//   * Absorb (append-only growth since the last query): the
+//     Wang/Gu/Shun-style incremental union-find. Every batch appended
+//     since the last query is folded into the persistent union-find in
+//     one pass over the new logical ids: counts of existing neighbors
+//     are bumped atomically, points whose count crosses minpts flip to
+//     core and get their edge lists reprocessed, then flatten + finalize.
+//     Probes are the union of a traversal of the base BVH and a
+//     lane-group scan of the delta.
+//
+// Rebuild policy: a mutation that leaves pending work (live delta +
+// retired prefix) above StreamConfig::rebuild_fraction of the live set
+// compacts storage. While the union-find is valid the Morton re-sort +
+// BVH build is paid there too, so appends keep absorbing against a warm
+// index; with a stale union-find the next query's recluster builds it.
+//
+// Either way labels are equivalent (up to cluster renumbering and the
+// usual border-claim freedom) and core flags are bit-identical to
 // re-clustering the same points from scratch — at any worker count,
 // under both SIMD and scalar backends (tests/test_stream.cpp).
 //
-// Incremental union-find (Wang/Gu/Shun-style cheap re-finalization):
-// query parameters are pinned at construction, so the union-find
-// parents, saturating neighbor counts and core flags persist across
-// queries. An insert() while that state is valid only processes the new
-// points' edges: counts of existing neighbors are bumped atomically,
-// points whose count crosses minpts flip to core and get their edge
-// lists reprocessed, and the next query is just flatten + finalize.
-// expire() invalidates the union-find lazily (removals can split
-// clusters); the next query recomputes counts + union-find over the
-// live set but still reuses the BVH. A full Morton re-sort + rebuild
-// runs only when pending work (live delta + dead prefix) exceeds
-// StreamConfig::rebuild_fraction of the live set.
-//
 // Thread-safety: like Engine — one streaming engine, one concurrent
 // operation (the service session layer serializes per session). A
-// cancelled insert() rolls the batch back (the logical point set is
-// unchanged) and costs only the incremental state; a cancelled query()
-// costs the incremental state (the next query does a full refresh).
+// cancelled query leaves the union-find stale, so the next query
+// reclusters; the logical point set is never affected.
 #pragma once
 
 #include <algorithm>
 #include <array>
+#include <cassert>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -71,9 +76,10 @@
 namespace fdbscan::stream {
 
 struct StreamConfig {
-  /// Rebuild threshold: a mutation triggers a full Morton re-sort +
-  /// BVH rebuild when (live delta points + retired slots) exceeds this
-  /// fraction of the live point count. Env (service sessions):
+  /// Rebuild threshold: a mutation compacts storage (and, while the
+  /// union-find is valid, pays the Morton re-sort + BVH build) when
+  /// (live delta points + retired slots) exceeds this fraction of the
+  /// live point count. Env (service sessions):
   /// FDBSCAN_SESSION_REBUILD_PCT.
   float rebuild_fraction = 0.25f;
   /// Forwarded to the inner Engine (grid cache capacity, memory).
@@ -88,12 +94,14 @@ struct StreamCounters {
   std::int64_t expires = 0;          ///< expire() calls retiring >= 1 point
   std::int64_t points_expired = 0;
   std::int64_t queries = 0;
-  /// BVH constructions: the lazy first build plus every threshold
-  /// rebuild (each rebuild is one Morton re-sort + build).
+  /// BVH constructions: one per reclustering query over a compacted
+  /// base, plus every eager build of an append-only compaction.
   std::int64_t index_rebuilds = 0;
-  std::int64_t incremental_inserts = 0;  ///< batches absorbed into a live UF
-  std::int64_t full_refreshes = 0;   ///< queries recomputing counts + UF
-  std::int64_t refinalized_queries = 0;  ///< queries served by flatten+finalize
+  std::int64_t compactions = 0;  ///< live set moved into a fresh base
+  /// Batches absorbed into a valid union-find at query time.
+  std::int64_t incremental_inserts = 0;
+  std::int64_t full_refreshes = 0;   ///< reclustering queries (Engine::run)
+  std::int64_t refinalized_queries = 0;  ///< queries served by absorb + finalize
 };
 
 template <int DIM>
@@ -157,40 +165,16 @@ class StreamingEngine {
   }
 
   /// Appends `points` to the stream; returns the sequence number of the
-  /// first appended point. While the incremental union-find is valid
-  /// (no expire since the last query), the batch is folded into it:
-  /// neighbor counts of existing points are bumped, minpts-crossers flip
-  /// to core and have their edges reprocessed, and new edges are
-  /// resolved with the post-batch core flags — so the next query only
-  /// re-finalizes. A cancellation mid-insert rolls the batch back.
+  /// first appended point. No clustering work happens here: the next
+  /// query absorbs the batch (or reclusters, after an expiry).
   std::int64_t insert(std::span<const Point<DIM>> points) {
     exec::throw_if_cancelled();
     const std::int64_t first = next_seq();
-    const auto k = static_cast<std::int64_t>(points.size());
-    if (k == 0) return first;
-    const std::int64_t old_nd = delta_n();
-    const std::int64_t n_old = size();
+    if (points.empty()) return first;
     append_to_delta(points);
-    if (uf_valid_) {
-      try {
-        absorb_batch(n_old, k);
-        ++counters_.incremental_inserts;
-      } catch (...) {
-        // Roll the batch back: the logical point set is unchanged, and
-        // the (possibly torn) counts/union-find are discarded — the
-        // next query recomputes them from the live set.
-        truncate_delta(old_nd);
-        counts_.resize(static_cast<std::size_t>(n_old));
-        is_core_.resize(static_cast<std::size_t>(n_old));
-        uf_.resize(static_cast<std::size_t>(n_old));
-        uf_valid_ = false;
-        throw;
-      }
-    }
-    // Count the insert only once the batch has logically taken effect —
-    // a rolled-back (cancelled) absorb must not inflate StreamCounters.
     ++counters_.inserts;
-    counters_.points_inserted += k;
+    ++unabsorbed_batches_;
+    counters_.points_inserted += static_cast<std::int64_t>(points.size());
     maybe_rebuild();
     return first;
   }
@@ -200,11 +184,10 @@ class StreamingEngine {
   }
 
   /// Retires every point with sequence number < before_seq (a no-op for
-  /// already-retired prefixes). Lazy: dead points are masked out of
-  /// probes until the rebuild threshold trips. Removals can split
-  /// clusters, so the incremental union-find is invalidated — the next
-  /// query does a full refresh (BVH still amortized). Returns the
-  /// number of points retired by this call.
+  /// already-retired prefixes). Lazy: the dead prefix stays in storage
+  /// until a compaction. Removals can split clusters, so the union-find
+  /// goes stale and the next query reclusters. Returns the number of
+  /// points retired by this call.
   std::int64_t expire(std::int64_t before_seq) {
     exec::throw_if_cancelled();
     const std::int64_t target =
@@ -224,62 +207,22 @@ class StreamingEngine {
   /// Clusters the live point set under the pinned parameters. Labels are
   /// indexed in sequence order over the live set (live_points() order).
   /// timings.index_rebuilds reports the BVH builds since the previous
-  /// query — 0 for any query whose preceding mutations stayed below the
-  /// rebuild threshold.
+  /// query — 0 for an append-only query whose preceding appends stayed
+  /// below the rebuild threshold.
   [[nodiscard]] Clustering query() {
     exec::throw_if_cancelled();
     ++counters_.queries;
-    const std::int64_t n = size();
-    exec::PhaseProfiler timer;
-    PhaseTimings timings;
-    timings.engine_run = true;
-    if (n == 0) {
-      Clustering empty;
-      empty.timings = timings;
-      empty.timings.index_rebuilds = take_rebuilds_since_last_query();
-      return empty;
-    }
-    exec::ScopedCharge charge(
-        options_.memory,
-        static_cast<std::size_t>(n) *
-            (sizeof(std::int32_t) + sizeof(std::uint8_t)));
-    // Index phase: the lazy first build of the base BVH lands here, like
-    // Engine::run's first call; threshold rebuilds happen on mutations.
-    if (live_base_count() > 0) (void)engine_->index();
-    timings.index_construction =
-        timer.lap("stream/index", &timings.index_construction_profile);
-
-    exec::PerThread<TraversalStats> work;
-    if (!uf_valid_) {
-      full_refresh(n, timer, timings, work);
-      ++counters_.full_refreshes;
-    } else {
+    Clustering result;
+    if (size() == 0) {
+      result.timings.engine_run = true;
+    } else if (uf_valid_) {
+      result = absorb_and_finalize();
       ++counters_.refinalized_queries;
-      timings.preprocessing =
-          timer.lap("stream/pre", &timings.preprocessing_profile);
-      timings.main = timer.lap("stream/main", &timings.main_profile);
+    } else {
+      result = recluster();
+      ++counters_.full_refreshes;
     }
-
-    // Finalization: flatten in place (idempotent), finalize over a copy
-    // of the core flags — the persistent flags feed future inserts.
-    flatten(uf_.data(), static_cast<std::int32_t>(n));
-    std::vector<std::uint8_t> core_copy(is_core_.begin(), is_core_.end());
-    std::vector<std::int32_t> compact(static_cast<std::size_t>(n));
-    Clustering result = fdbscan::detail::finalize_labels_with_scratch(
-        uf_.data(), n, std::move(core_copy), compact.data());
-    timings.finalization =
-        timer.lap("stream/finalize", &timings.finalization_profile);
-    result.timings = timings;
     result.timings.index_rebuilds = take_rebuilds_since_last_query();
-    // Probes done by incremental inserts since the previous query count
-    // toward this query's stats: a refinalized query's answer embodies
-    // that traversal work.
-    TraversalStats total = work.combine();
-    total += pending_insert_stats_;
-    pending_insert_stats_ = {};
-    result.distance_computations = total.leaves_tested;
-    result.index_nodes_visited = total.nodes_visited;
-    if (options_.memory) result.peak_memory_bytes = options_.memory->peak();
     return result;
   }
 
@@ -300,25 +243,12 @@ class StreamingEngine {
   [[nodiscard]] std::int64_t delta_live_begin() const noexcept {
     return std::max<std::int64_t>(0, live_begin_ - base_n());
   }
-  [[nodiscard]] std::int64_t live_base_count() const noexcept {
-    return base_n() - live_base_begin();
-  }
 
-  [[nodiscard]] Point<DIM> logical_point(std::int64_t i) const noexcept {
-    const std::int64_t nb = live_base_count();
-    if (i < nb) {
-      return base_[static_cast<std::size_t>(live_base_begin() + i)];
-    }
-    return delta_[static_cast<std::size_t>(delta_live_begin() + (i - nb))];
-  }
-
-  [[nodiscard]] std::array<const float*, DIM> delta_axes() const noexcept {
-    std::array<const float*, DIM> axes{};
-    for (int d = 0; d < DIM; ++d) {
-      axes[static_cast<std::size_t>(d)] =
-          delta_axes_[static_cast<std::size_t>(d)].data();
-    }
-    return axes;
+  /// Point of logical id i. Only called while the union-find is valid,
+  /// when no slot is retired (live_begin_ == 0).
+  [[nodiscard]] const Point<DIM>& logical_point(std::int64_t i) const noexcept {
+    return i < base_n() ? base_[static_cast<std::size_t>(i)]
+                        : delta_[static_cast<std::size_t>(i - base_n())];
   }
 
   // ---- delta side buffer --------------------------------------------------
@@ -337,172 +267,162 @@ class StreamingEngine {
     delta_.insert(delta_.end(), points.begin(), points.end());
   }
 
-  void truncate_delta(std::int64_t n) {
-    delta_.resize(static_cast<std::size_t>(n));
-    for (int d = 0; d < DIM; ++d) {
-      auto& axis = delta_axes_[static_cast<std::size_t>(d)];
-      axis.resize(static_cast<std::size_t>(n + kSoaPadding));
-      std::fill(axis.begin() + static_cast<std::ptrdiff_t>(n), axis.end(),
-                std::numeric_limits<float>::infinity());
-    }
-  }
-
-  // ---- neighborhood probes (BVH over base + lane-group delta scan) --------
-  /// Saturating neighbor count of `p` over the live set (includes the
-  /// probe point itself when it is a member). early_stop <= 0 disables
-  /// the early exit; with early_stop = minpts the returned value is
-  /// exact below minpts and saturated (>= minpts) above — exactly what
-  /// core determination and crossing detection compare against.
-  [[nodiscard]] std::int32_t count_live_neighbors(const Point<DIM>& p,
-                                                  float eps2,
-                                                  std::int32_t early_stop,
-                                                  TraversalStats& stats,
-                                                  std::int64_t& scans) const {
-    std::int32_t count = 0;
-    const auto base_live = static_cast<std::int32_t>(live_base_begin());
-    if (live_base_count() > 0) {
-      bvh_unchecked().for_each_near(
-          p, eps2, 0,
-          [&](std::int32_t, std::int32_t id) {
-            if (id >= base_live) {
-              ++count;
-              if (early_stop > 0 && count >= early_stop) {
-                return TraversalControl::kTerminate;
-              }
-            }
-            return TraversalControl::kContinue;
-          },
-          &stats);
-    }
-    const auto lo = static_cast<std::int32_t>(delta_live_begin());
-    const auto hi = static_cast<std::int32_t>(delta_n());
-    if (lo < hi && !(early_stop > 0 && count >= early_stop)) {
-      count += simd::count_within<DIM>(
-          delta_axes(), lo, hi, p, eps2,
-          early_stop > 0 ? early_stop - count : std::int32_t{0}, scans);
-    }
-    return count;
-  }
-
   /// Invokes f(logical_id) for every live point within eps of `p`
-  /// (including `p` itself when it is a member). Never early-stops:
-  /// callers need the complete edge set.
+  /// (including `p` itself when it is a member): a traversal of the base
+  /// BVH plus a lane-group scan of the delta. Never early-stops: callers
+  /// need the complete edge set.
   template <class F>
-  void for_each_live_neighbor(const Point<DIM>& p, float eps2,
-                              TraversalStats& stats, std::int64_t& scans,
-                              F&& f) const {
-    const auto base_live = static_cast<std::int32_t>(live_base_begin());
-    const auto nb = static_cast<std::int32_t>(live_base_count());
-    if (nb > 0) {
-      bvh_unchecked().for_each_near(
+  void for_each_neighbor(const Bvh<DIM>* bvh, const Point<DIM>& p,
+                         float eps2, TraversalStats& stats,
+                         std::int64_t& scans, F&& f) const {
+    if (bvh != nullptr) {
+      bvh->for_each_near(
           p, eps2, 0,
           [&](std::int32_t, std::int32_t id) {
-            if (id >= base_live) f(id - base_live);
+            f(id);
             return TraversalControl::kContinue;
           },
           &stats);
     }
-    const auto lo = static_cast<std::int32_t>(delta_live_begin());
-    const auto hi = static_cast<std::int32_t>(delta_n());
-    if (lo < hi) {
-      simd::for_each_within<DIM>(delta_axes(), lo, hi, p, eps2, scans,
-                                 [&](std::int32_t m) { f(nb + (m - lo)); });
+    std::array<const float*, DIM> axes{};
+    for (int d = 0; d < DIM; ++d) {
+      axes[static_cast<std::size_t>(d)] =
+          delta_axes_[static_cast<std::size_t>(d)].data();
     }
+    const auto nb = static_cast<std::int32_t>(base_n());
+    simd::for_each_within<DIM>(axes, 0, static_cast<std::int32_t>(delta_n()),
+                               p, eps2, scans,
+                               [&](std::int32_t m) { f(nb + m); });
   }
 
-  /// The base BVH. Only called when live_base_count() > 0, after query()
-  /// or rebuild() already forced the build — so this never builds.
-  [[nodiscard]] const Bvh<DIM>& bvh_unchecked() const { return *base_bvh_; }
-
-  void ensure_base_bvh() {
-    base_bvh_ = live_base_count() > 0 ? &engine_->index() : nullptr;
-  }
-
-  // ---- full refresh (query after expiry / first query) --------------------
-  void full_refresh(std::int64_t n, exec::PhaseProfiler& timer,
-                    PhaseTimings& timings,
-                    exec::PerThread<TraversalStats>& work) {
-    uf_valid_ = false;  // torn state on cancellation, until fully rebuilt
-    ensure_base_bvh();
-    const float eps2 = params_.eps * params_.eps;
-    counts_.assign(static_cast<std::size_t>(n), 0);
-    is_core_.assign(static_cast<std::size_t>(n), 0);
-    uf_.resize(static_cast<std::size_t>(n));
-    if (params_.minpts <= 1) {
-      exec::parallel_for("stream/pre/all-core", n, [&](std::int64_t i) {
-        is_core_[static_cast<std::size_t>(i)] = 1;
-      });
-    } else {
-      const std::int32_t early =
-          options_.early_exit ? params_.minpts : std::int32_t{0};
-      exec::parallel_for("stream/pre/core-count", n, [&](std::int64_t i) {
-        TraversalStats stats;
-        std::int64_t scans = 0;
-        const std::int32_t c = count_live_neighbors(
-            logical_point(i), eps2, early, stats, scans);
-        counts_[static_cast<std::size_t>(i)] = c;
-        if (c >= params_.minpts) is_core_[static_cast<std::size_t>(i)] = 1;
-        stats.leaves_tested += scans;
-        work.local() += stats;
-      });
+  // ---- recluster (stale union-find) ---------------------------------------
+  /// Compacts the live set into the base unless it already is exactly
+  /// the base, then clusters it with Engine::run. The session state is
+  /// rebuilt from the result: core flags verbatim, and a union-find with
+  /// every cluster rooted at its lowest-id *core* member — a non-core
+  /// root would read as unclaimed to resolve_pair and finalize. Neighbor
+  /// counts are not kept; the next absorb recomputes the ones it needs.
+  [[nodiscard]] Clustering recluster() {
+    if (live_begin_ > 0 || delta_n() > 0) compact();
+    Clustering result = engine_->run(params_, options_);
+    const std::size_t n = result.labels.size();
+    std::vector<std::int32_t> root(
+        static_cast<std::size_t>(result.num_clusters));
+    for (std::size_t i = n; i-- > 0;) {  // downwards: the lowest id wins
+      if (result.is_core[i] != 0) {
+        root[static_cast<std::size_t>(result.labels[i])] =
+            static_cast<std::int32_t>(i);
+      }
     }
-    timings.preprocessing =
-        timer.lap("stream/pre", &timings.preprocessing_profile);
-
-    init_singletons(uf_.data(), static_cast<std::int32_t>(n));
-    UnionFindView uf(uf_.data(), static_cast<std::int32_t>(n));
-    exec::parallel_for("stream/main/traverse-union", n, [&](std::int64_t i) {
-      const auto x = static_cast<std::int32_t>(i);
-      TraversalStats stats;
-      std::int64_t scans = 0;
-      for_each_live_neighbor(
-          logical_point(i), eps2, stats, scans, [&](std::int32_t y) {
-            if (y != x) {
-              fdbscan::detail::resolve_pair(uf, is_core_, x, y,
-                                            options_.variant);
-            }
-          });
-      stats.leaves_tested += scans;
-      work.local() += stats;
+    uf_.resize(n);
+    exec::parallel_for("stream/recluster/adopt", static_cast<std::int64_t>(n),
+                       [&](std::int64_t i) {
+      const std::int32_t label = result.labels[static_cast<std::size_t>(i)];
+      uf_[static_cast<std::size_t>(i)] =
+          label == kNoise ? static_cast<std::int32_t>(i)
+                          : root[static_cast<std::size_t>(label)];
     });
-    timings.main = timer.lap("stream/main", &timings.main_profile);
+    is_core_ = result.is_core;
+    counts_.clear();
+    unabsorbed_batches_ = 0;
     uf_valid_ = true;
+    return result;
   }
 
-  // ---- incremental insert -------------------------------------------------
-  /// Folds the freshly appended batch (logical ids [n_old, n_old + k))
-  /// into the valid union-find. Three passes so every edge is resolved
-  /// with the *post-batch* core flags, like a from-scratch run:
-  /// count, flip, resolve. Probe work lands in pending_insert_stats_,
-  /// which the next query() folds into its reported traversal stats.
-  void absorb_batch(std::int64_t n_old, std::int64_t k) {
-    ensure_base_bvh();
+  // ---- absorb (valid union-find) ------------------------------------------
+  /// Folds every point appended since the last query (logical ids
+  /// [uf_.size(), size())) into the valid union-find, then flattens and
+  /// finalizes.
+  [[nodiscard]] Clustering absorb_and_finalize() {
+    const std::int64_t n = size();
+    exec::ScopedCharge charge(
+        options_.memory,
+        static_cast<std::size_t>(n) *
+            (sizeof(std::int32_t) + sizeof(std::uint8_t)));
+    exec::PhaseProfiler timer;
+    PhaseTimings timings;
+    timings.engine_run = true;
+    // Free unless the eager build of an append-only compaction was
+    // cancelled: then this query pays it.
+    const Bvh<DIM>* bvh = base_.empty() ? nullptr : &engine_->index();
+    timings.index_construction =
+        timer.lap("stream/index", &timings.index_construction_profile);
+
     exec::PerThread<TraversalStats> work;
+    const auto n_old = static_cast<std::int64_t>(uf_.size());
+    if (n_old < n) {
+      uf_valid_ = false;  // torn on cancellation, until fully absorbed
+      absorb_batch(bvh, n_old, n - n_old, timer, timings, work);
+      counters_.incremental_inserts += unabsorbed_batches_;
+      unabsorbed_batches_ = 0;
+      uf_valid_ = true;
+    } else {
+      timings.preprocessing =
+          timer.lap("stream/pre", &timings.preprocessing_profile);
+      timings.main = timer.lap("stream/main", &timings.main_profile);
+    }
+
+    // Finalization: flatten in place (idempotent), finalize over a copy
+    // of the core flags — the persistent flags feed future absorbs.
+    flatten(uf_.data(), static_cast<std::int32_t>(n));
+    std::vector<std::uint8_t> core_copy(is_core_.begin(), is_core_.end());
+    std::vector<std::int32_t> compact(static_cast<std::size_t>(n));
+    Clustering result = fdbscan::detail::finalize_labels_with_scratch(
+        uf_.data(), n, std::move(core_copy), compact.data());
+    timings.finalization =
+        timer.lap("stream/finalize", &timings.finalization_profile);
+    result.timings = timings;
+    const TraversalStats total = work.combine();
+    result.distance_computations = total.leaves_tested;
+    result.index_nodes_visited = total.nodes_visited;
+    if (options_.memory) result.peak_memory_bytes = options_.memory->peak();
+    return result;
+  }
+
+  /// Absorbs logical ids [n_old, n_old + k). Three passes so every edge
+  /// is resolved with the *post-batch* core flags, like a from-scratch
+  /// run: count, flip, resolve.
+  void absorb_batch(const Bvh<DIM>* bvh, std::int64_t n_old, std::int64_t k,
+                    exec::PhaseProfiler& timer, PhaseTimings& timings,
+                    exec::PerThread<TraversalStats>& work) {
+    assert(live_begin_ == 0);  // a valid union-find has seen no expiry
     const float eps2 = params_.eps * params_.eps;
     const std::int64_t n_new = n_old + k;
-    counts_.resize(static_cast<std::size_t>(n_new), 0);
-    is_core_.resize(static_cast<std::size_t>(n_new), 0);
-    uf_.resize(static_cast<std::size_t>(n_new));
-    for (std::int64_t i = n_old; i < n_new; ++i) {
-      uf_[static_cast<std::size_t>(i)] = static_cast<std::int32_t>(i);
-    }
-    UnionFindView uf(uf_.data(), static_cast<std::int32_t>(n_new));
-
     std::vector<std::int32_t> flipped;
     if (params_.minpts > 1) {
+      if (counts_.size() != static_cast<std::size_t>(n_old)) {
+        // First absorb since a recluster, which kept only core flags.
+        // Core points saturate at minpts (a bump never reports them as
+        // crossing); non-core points need their exact count over the
+        // old set, which never reaches minpts, so no early exit is lost.
+        counts_.assign(static_cast<std::size_t>(n_old), params_.minpts);
+        exec::parallel_for("stream/absorb/recount", n_old,
+                           [&](std::int64_t i) {
+          if (is_core_[static_cast<std::size_t>(i)] != 0) return;
+          TraversalStats stats;
+          std::int64_t scans = 0;
+          std::int32_t count = 0;
+          for_each_neighbor(bvh, logical_point(i), eps2, stats, scans,
+                            [&](std::int32_t y) { count += y < n_old; });
+          counts_[static_cast<std::size_t>(i)] = count;
+          stats.leaves_tested += scans;
+          work.local() += stats;
+        });
+      }
+      counts_.resize(static_cast<std::size_t>(n_new), 0);
       // Pass 1: full neighbor enumeration of each new point — its own
       // exact count, plus an atomic bump for every *existing* neighbor
       // (batch-batch contributions are symmetric: each endpoint counts
       // the other in its own enumeration). A bump whose previous value
       // was minpts - 1 crossed the threshold exactly once.
       std::mutex flip_mutex;
-      exec::parallel_for("stream/insert/count", k, [&](std::int64_t j) {
+      exec::parallel_for("stream/absorb/count", k, [&](std::int64_t j) {
         const std::int64_t q = n_old + j;
         TraversalStats stats;
         std::int64_t scans = 0;
         std::int32_t count = 0;
-        for_each_live_neighbor(
-            logical_point(q), eps2, stats, scans, [&](std::int32_t y) {
+        for_each_neighbor(
+            bvh, logical_point(q), eps2, stats, scans, [&](std::int32_t y) {
               ++count;  // includes q itself and batch members
               if (y < n_old) {
                 const std::int32_t prev = exec::atomic_fetch_add(
@@ -517,36 +437,42 @@ class StreamingEngine {
         stats.leaves_tested += scans;
         work.local() += stats;
       });
-      // Pass 2: core flags with the post-batch counts.
-      for (std::int64_t j = 0; j < k; ++j) {
-        const auto q = static_cast<std::size_t>(n_old + j);
-        if (counts_[q] >= params_.minpts) is_core_[q] = 1;
-      }
-      for (const std::int32_t y : flipped) {
-        is_core_[static_cast<std::size_t>(y)] = 1;
-      }
-    } else {
-      for (std::int64_t j = 0; j < k; ++j) {
-        is_core_[static_cast<std::size_t>(n_old + j)] = 1;
+    }
+    // Pass 2: core flags with the post-batch counts.
+    is_core_.resize(static_cast<std::size_t>(n_new), 0);
+    for (std::int64_t q = n_old; q < n_new; ++q) {
+      if (params_.minpts <= 1 ||
+          counts_[static_cast<std::size_t>(q)] >= params_.minpts) {
+        is_core_[static_cast<std::size_t>(q)] = 1;
       }
     }
+    for (const std::int32_t y : flipped) {
+      is_core_[static_cast<std::size_t>(y)] = 1;
+    }
+    timings.preprocessing =
+        timer.lap("stream/pre", &timings.preprocessing_profile);
 
     // Pass 3: resolve every edge incident to the batch, plus the full
     // edge lists of flipped points (their core-suppressed edges to *old*
     // neighbors just became active). minpts == 2 flips need no
     // reprocessing: a flipped point had no prior neighbors, so all its
     // edges touch the batch and are resolved from the batch side.
+    uf_.resize(static_cast<std::size_t>(n_new));
+    for (std::int64_t i = n_old; i < n_new; ++i) {
+      uf_[static_cast<std::size_t>(i)] = static_cast<std::int32_t>(i);
+    }
+    UnionFindView uf(uf_.data(), static_cast<std::int32_t>(n_new));
     const std::int64_t flips =
         params_.minpts > 2 ? static_cast<std::int64_t>(flipped.size()) : 0;
-    exec::parallel_for("stream/insert/resolve", k + flips,
+    exec::parallel_for("stream/absorb/resolve", k + flips,
                        [&](std::int64_t t) {
       const std::int64_t x64 =
           t < k ? n_old + t : flipped[static_cast<std::size_t>(t - k)];
       const auto x = static_cast<std::int32_t>(x64);
       TraversalStats stats;
       std::int64_t scans = 0;
-      for_each_live_neighbor(
-          logical_point(x64), eps2, stats, scans, [&](std::int32_t y) {
+      for_each_neighbor(
+          bvh, logical_point(x64), eps2, stats, scans, [&](std::int32_t y) {
             if (y != x) {
               fdbscan::detail::resolve_pair(uf, is_core_, x, y,
                                             options_.variant);
@@ -555,63 +481,53 @@ class StreamingEngine {
       stats.leaves_tested += scans;
       work.local() += stats;
     });
-    pending_insert_stats_ += work.combine();
+    timings.main = timer.lap("stream/main", &timings.main_profile);
   }
 
   // ---- rebuild ------------------------------------------------------------
   void maybe_rebuild() {
     const std::int64_t n = size();
-    if (n == 0) {
-      if (total_slots() > 0) rebuild();  // free retired storage
-      return;
-    }
     const std::int64_t pending = (delta_n() - delta_live_begin()) +
                                  live_begin_;
-    if (static_cast<double>(pending) >
-        static_cast<double>(config_.rebuild_fraction) *
-            static_cast<double>(n)) {
-      rebuild();
-    }
-  }
-
-  /// Compacts the live set (sequence order preserved) into a fresh base
-  /// and pays the Morton re-sort + BVH build here, at mutation time.
-  /// Logical ids are unchanged, so the incremental union-find survives.
-  void rebuild() {
-    std::vector<Point<DIM>> next;
-    next.reserve(static_cast<std::size_t>(size()));
-    for (std::int64_t s = live_base_begin(); s < base_n(); ++s) {
-      next.push_back(base_[static_cast<std::size_t>(s)]);
-    }
-    for (std::int64_t j = delta_live_begin(); j < delta_n(); ++j) {
-      next.push_back(delta_[static_cast<std::size_t>(j)]);
-    }
-    seq0_ += live_begin_;
-    if (engine_) retired_index_builds_ += engine_->counters().index_builds;
-    engine_.reset();  // borrows base_: destroy before reassigning
-    base_bvh_ = nullptr;
-    base_ = std::move(next);
-    truncate_delta(0);
-    live_begin_ = 0;
-    reset_engine();
-    // Eager build: pay the Morton re-sort + BVH construction at mutation
-    // time, not on the next query. Best-effort — by this point the
-    // mutation has logically taken effect, so a cancellation (or OOM)
-    // inside the warm-up build must not turn a completed insert/expire
-    // into a reported failure. The build simply stays lazy and the next
-    // query pays it (rethrowing whatever condition persists).
-    if (!base_.empty()) {
+    const bool due =
+        n == 0 ? total_slots() > 0  // free retired storage
+               : static_cast<double>(pending) >
+                     static_cast<double>(config_.rebuild_fraction) *
+                         static_cast<double>(n);
+    if (!due) return;
+    compact();
+    // Eager build only where the next query absorbs against the index.
+    // Best-effort — by this point the mutation has logically taken
+    // effect, so a cancellation (or OOM) inside the warm-up build must
+    // not turn a completed insert/expire into a reported failure. The
+    // build simply stays lazy and the next query pays it (rethrowing
+    // whatever condition persists).
+    if (uf_valid_ && !base_.empty()) {
       try {
         (void)engine_->index();
       } catch (...) {
-        base_bvh_ = nullptr;
       }
     }
   }
 
+  /// Moves the live set (sequence order preserved) into a fresh base
+  /// behind a new, not yet indexed Engine. Logical ids are unchanged, so
+  /// a valid union-find survives.
+  void compact() {
+    std::vector<Point<DIM>> next = live_points();
+    seq0_ += live_begin_;
+    if (engine_) retired_index_builds_ += engine_->counters().index_builds;
+    engine_.reset();  // borrows base_: destroy before reassigning
+    base_ = std::move(next);
+    delta_.clear();
+    for (auto& axis : delta_axes_) axis.clear();
+    live_begin_ = 0;
+    reset_engine();
+    ++counters_.compactions;
+  }
+
   void reset_engine() {
     engine_ = std::make_unique<Engine<DIM>>(base_, config_.engine);
-    base_bvh_ = nullptr;
   }
 
   [[nodiscard]] std::int64_t total_index_builds() const noexcept {
@@ -638,16 +554,14 @@ class StreamingEngine {
   std::int64_t live_begin_ = 0;    // slots below this are retired
 
   std::unique_ptr<Engine<DIM>> engine_;  // owns the base BVH + its memory
-  const Bvh<DIM>* base_bvh_ = nullptr;   // cached engine_->index()
 
-  // Incremental session state over logical ids (0 = oldest live point).
+  // Session state over logical ids (0 = oldest live point), valid while
+  // uf_valid_: no expiry and no cancelled query since the last query.
   std::vector<std::int32_t> uf_;        // union-find parents
-  std::vector<std::int32_t> counts_;    // saturating |N_eps|
+  std::vector<std::int32_t> counts_;    // saturating |N_eps|; empty = stale
   std::vector<std::uint8_t> is_core_;
   bool uf_valid_ = false;
-  /// Probe work of incremental inserts since the last query; folded
-  /// into (and cleared by) the next query's reported traversal stats.
-  TraversalStats pending_insert_stats_{};
+  std::int64_t unabsorbed_batches_ = 0;  // inserts since the last query
 
   std::int64_t retired_index_builds_ = 0;  // builds of replaced engines
   std::int64_t index_builds_at_last_query_ = 0;

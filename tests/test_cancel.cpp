@@ -250,6 +250,29 @@ TEST_P(CancelWithThreads, PreCancelledEngineRunLaunchesNoKernels) {
   EXPECT_FALSE(engine.index_built());
 }
 
+TEST_P(CancelWithThreads, CancelledIndexBuildLeavesNoPartialPack) {
+  // index() has no entry check, so a raised token cancels its first
+  // kernel, the SoA pack, before any chunk runs. The next build must
+  // pack again rather than build over the empty store.
+  const auto points = testing::clustered_points<2>(3000, 5, 1.0f, 0.02f, 13);
+  const Parameters params{0.02f, 5};
+  Engine<2> reference(points);
+  const Clustering expected = reference.run(params);
+  Engine<2> engine(points);
+  {
+    CancelToken token;
+    token.request_cancel();
+    CancelScope scope(token);
+    EXPECT_THROW((void)engine.index(), CancelledError);
+  }
+  EXPECT_FALSE(engine.index_built());
+  const Clustering fresh = engine.run(params);
+  EXPECT_EQ(fresh.is_core, expected.is_core);
+  EXPECT_EQ(fresh.distance_computations, expected.distance_computations);
+  const auto check = equivalent_clusterings(points, params, expected, fresh);
+  EXPECT_TRUE(check.ok) << check.message;
+}
+
 TEST_P(CancelWithThreads, EngineBitIdenticalAfterMidRunCancel) {
   const std::int64_t n = 30000;
   const auto points = testing::clustered_points<2>(n, 8, 1.0f, 0.02f, 23);

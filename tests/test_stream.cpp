@@ -1,13 +1,15 @@
-// StreamingEngine (stream/streaming_engine.h): label equivalence of the
-// incremental insert/expire path against from-scratch runs on the same
-// logical point set, rebuild amortization (appends below the threshold
+// StreamingEngine (stream/streaming_engine.h): label equivalence of both
+// query paths (recluster after an expiry, absorb after appends) against
+// from-scratch runs on the same logical point set, recluster work equal
+// to fdbscan(live), rebuild amortization (appends below the threshold
 // leave index_rebuilds at zero), lazy expiry, sequence-number stability
-// across rebuilds, and cancellation rollback.
+// across compactions, and cancellation.
 #include "stream/streaming_engine.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -22,6 +24,7 @@
 #include "data/generators.h"
 #include "data/sliding_window.h"
 #include "exec/cancel.h"
+#include "exec/profile.h"
 #include "test_utils.h"
 
 namespace fdbscan::stream {
@@ -122,6 +125,141 @@ TEST_P(StreamEquivalence, AppendOnlyGrowthMatchesFromScratch) {
   }
   EXPECT_GT(engine.counters().incremental_inserts, 0);
   EXPECT_GT(engine.counters().refinalized_queries, 0);
+}
+
+TEST_P(StreamEquivalence, ReclusteredUnionFindAbsorbsLaterAppends) {
+  // A sliding window, then append-only growth: the union-find the last
+  // recluster rebuilt from Engine::run's labels must absorb the later
+  // batches and stay equivalent. The final window opens with a chain
+  // whose lowest-id member b is a border point, so that cluster's root
+  // must be a higher-id core member; a later append makes b core.
+  ScopedThreads threads(GetParam());
+  const Parameters params{0.05f, 3};
+  const auto noise = fdbscan::testing::random_points<2>(300, 1.0f, 43);
+  const auto grow =
+      fdbscan::testing::clustered_points<2>(1000, 5, 1.0f, 0.02f, 47);
+  // b at 2.000 sees only c1 (border); c1 and c2 see three each (core);
+  // c3 sees only c2 (border).
+  std::vector<Point2> window = {
+      {{2.000f, 2.0f}}, {{2.045f, 2.0f}}, {{2.075f, 2.0f}}, {{2.105f, 2.0f}}};
+  window.insert(window.end(), grow.begin(), grow.begin() + 300);
+  StreamingEngine<2> engine(params);
+  (void)engine.insert(noise);
+  (void)engine.query();
+  (void)engine.insert(window);
+  EXPECT_EQ(engine.expire(300), 300);
+  const Clustering slid = engine.query();
+  ASSERT_EQ(slid.is_core[0], 0);  // b: border, and in a cluster
+  ASSERT_NE(slid.labels[0], kNoise);
+  ASSERT_EQ(slid.is_core[1], 1);
+  expect_equivalent(window, params, Options{}, slid, "slid");
+  const StreamCounters before = engine.counters();
+
+  std::vector<Point2> live = window;
+  // The first batch turns b core: (1.960, 2.0) is within eps of b only.
+  std::vector<Point2> batch = {{{1.960f, 2.0f}}};
+  batch.insert(batch.end(), grow.begin() + 300, grow.begin() + 450);
+  std::int64_t cursor = 450;
+  for (int i = 0; i < 5; ++i) {
+    (void)engine.insert(batch);
+    live.insert(live.end(), batch.begin(), batch.end());
+    if (i % 2 == 1) {  // two batches absorbed by one query
+      const Clustering q = engine.query();
+      expect_equivalent(live, params, Options{}, q, "append-only");
+      if (i == 1) {
+        EXPECT_EQ(q.is_core[0], 1);  // b flipped to core
+      }
+    }
+    batch.assign(grow.begin() + cursor, grow.begin() + cursor + 100);
+    cursor += 100;
+  }
+  expect_equivalent(live, params, Options{}, engine.query(), "final");
+  const StreamCounters after = engine.counters();
+  EXPECT_EQ(after.incremental_inserts - before.incremental_inserts, 5);
+  EXPECT_EQ(after.refinalized_queries - before.refinalized_queries, 3);
+  EXPECT_EQ(after.full_refreshes, before.full_refreshes);
+}
+
+TEST_P(StreamEquivalence, CancelledReclusterLeavesTheWindowCompacted) {
+  // A query cancelled inside the recluster, then a clean query: the
+  // clean query must be equivalent and reuse the compaction the
+  // cancelled one already made.
+  ScopedThreads threads(GetParam());
+  const auto points =
+      fdbscan::testing::clustered_points<2>(32000, 6, 1.0f, 0.02f, 53);
+  const Parameters params{0.02f, 5};
+  StreamingEngine<2> engine(
+      std::vector<Point2>(points.begin(), points.begin() + 30000), params);
+  (void)engine.query();
+  (void)engine.insert(std::span<const Point2>(points.data() + 30000, 2000));
+  (void)engine.expire(2000);  // below the threshold: nothing compacted yet
+  const StreamCounters before = engine.counters();
+
+  // Raise the token once the query's kernels make progress; retry on
+  // the (unlikely) race where the query completes first.
+  bool cancelled = false;
+  for (int attempt = 0; attempt < 10 && !cancelled; ++attempt) {
+    exec::CancelToken token;
+    std::atomic<bool> stop{false};
+    const std::int64_t chunks = exec::kernel_profile().chunks;
+    std::thread watcher([&] {
+      while (!stop.load(std::memory_order_relaxed)) {
+        if (exec::kernel_profile().chunks > chunks) {
+          token.request_cancel();
+          return;
+        }
+        std::this_thread::yield();
+      }
+    });
+    {
+      exec::CancelScope scope(token);
+      try {
+        (void)engine.query();
+      } catch (const exec::CancelledError&) {
+        cancelled = true;
+      }
+    }
+    stop.store(true, std::memory_order_relaxed);
+    watcher.join();
+    if (!cancelled) (void)engine.expire(engine.first_live_seq() + 1);
+  }
+  ASSERT_TRUE(cancelled);
+  const StreamCounters mid = engine.counters();
+  EXPECT_GT(mid.compactions, before.compactions);
+  EXPECT_EQ(mid.full_refreshes, before.full_refreshes);
+
+  const Clustering q = engine.query();
+  const StreamCounters after = engine.counters();
+  EXPECT_EQ(after.compactions, mid.compactions);  // no second compaction
+  EXPECT_EQ(after.full_refreshes, mid.full_refreshes + 1);
+  expect_equivalent(engine.live_points(), params, Options{}, q,
+                    "after cancelled recluster");
+}
+
+TEST_P(StreamEquivalence, AppendExpireQueryDoesNoAbsorbWork) {
+  // A query after an expiry is exactly a from-scratch run over the
+  // compacted window: no absorb work, and the same work counters as
+  // fdbscan(live).
+  ScopedThreads threads(GetParam());
+  const auto points = data::ngsim_like(3000, 59);
+  const Parameters params{0.02f, 5};
+  StreamingEngine<2> engine(
+      std::vector<Point2>(points.begin(), points.begin() + 2000), params);
+  (void)engine.query();
+  for (std::int64_t lo = 2000; lo < 3000; lo += 250) {
+    const StreamCounters before = engine.counters();
+    (void)engine.insert(std::span<const Point2>(points.data() + lo, 250));
+    (void)engine.expire(engine.first_live_seq() + 250);
+    const Clustering q = engine.query();
+    const std::vector<Point2> live = engine.live_points();
+    const Clustering ref = fdbscan(live, params);
+    EXPECT_EQ(engine.counters().incremental_inserts,
+              before.incremental_inserts);
+    EXPECT_EQ(q.distance_computations, ref.distance_computations);
+    EXPECT_EQ(q.index_nodes_visited, ref.index_nodes_visited);
+    EXPECT_EQ(q.is_core, ref.is_core);
+    expect_equivalent(live, params, Options{}, q, "append-expire-query");
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Workers, StreamEquivalence,
@@ -300,10 +438,12 @@ TEST(StreamingEngine, RaisedTokenRejectsMutationsAtEntry) {
 
 TEST(StreamingEngine, CancelledInsertRollsTheBatchBack) {
   // Raise the token from a second thread while a large batch is being
-  // absorbed. Whichever way the race lands — cancelled mid-absorb or
-  // completed first — the logical point set must be exactly the
-  // pre-insert or post-insert set, and the next query (under a fresh
-  // scope) must match a from-scratch run of whichever it is.
+  // inserted (the batch trips the threshold, so the insert compacts and
+  // starts the eager index build). Whichever way the race lands —
+  // cancelled at entry or completed first — the logical point set must
+  // be exactly the pre-insert or post-insert set, and the next query
+  // (under a fresh scope) must match a from-scratch run of whichever it
+  // is.
   const auto points =
       fdbscan::testing::clustered_points<2>(30000, 6, 1.0f, 0.02f, 41);
   Parameters params{0.02f, 5};

@@ -387,8 +387,13 @@ def gate_stream(doc, path):
         step's query matched a from-scratch run over the live set (with
         bit-identical core flags — the verdict is worker-count
         invariant);
-      * stream_rebuilds <= stream_rebuild_bound: the threshold policy
-        amortized BVH construction strictly below one-build-per-batch;
+      * entries carrying expiry_queries (the sliding windows) must
+        count > 0 queries that followed an expiry and report
+        expiry_work_mismatches == 0: each of those queries reclusters
+        the compacted window with Engine::run, so its distance
+        computations equal the from-scratch fdbscan(live) reference's;
+      * stream_rebuilds <= stream_rebuild_bound where an entry carries
+        the bound (warm_append: the lazy initial build only);
       * entries carrying warm_queries_checked must check > 0 warm
         queries and report warm_query_rebuilds == 0: sub-threshold
         appends are absorbed by the side buffer without any rebuild.
@@ -398,6 +403,7 @@ def gate_stream(doc, path):
     violations = []
     checked = 0
     warm_entries = 0
+    expiry_entries = 0
     for e in doc["entries"]:
         if e.get("error") or "stream_equiv_checked" not in e["counters"]:
             continue
@@ -413,14 +419,27 @@ def gate_stream(doc, path):
                 f"{name}: stream_equiv_failures="
                 f"{counters.get('stream_equiv_failures')!r} — a streamed "
                 "query diverged from the from-scratch reference")
+        if "expiry_queries" in counters:
+            expiry_entries += 1
+            if counters["expiry_queries"] <= 0:
+                violations.append(
+                    f"{name}: expiry_queries="
+                    f"{counters['expiry_queries']:g} — no query followed "
+                    "an expiry, so the recluster work rule was not "
+                    "exercised")
+            if counters.get("expiry_work_mismatches", -1) != 0:
+                violations.append(
+                    f"{name}: expiry_work_mismatches="
+                    f"{counters.get('expiry_work_mismatches')!r} — a query "
+                    "after an expiry did different work than a "
+                    "from-scratch run over the live set")
         if "stream_rebuild_bound" in counters:
             rebuilds = counters.get("stream_rebuilds", float("inf"))
             bound = counters["stream_rebuild_bound"]
             if rebuilds > bound:
                 violations.append(
                     f"{name}: stream_rebuilds={rebuilds:g} exceeds the "
-                    f"amortization bound {bound:g} — the threshold policy "
-                    "degenerated to (or past) one build per batch")
+                    f"rebuild bound {bound:g}")
         if "warm_queries_checked" in counters:
             warm_entries += 1
             if counters["warm_queries_checked"] <= 0:
@@ -438,10 +457,15 @@ def gate_stream(doc, path):
             f"{path}: no entries carry a stream_equiv_checked counter — "
             "the stream gate is vacuous (did stream_throughput drop its "
             "entries?)")
-    elif warm_entries == 0:
-        violations.append(
-            f"{path}: no entries carry a warm_queries_checked counter — "
-            "the zero-rebuild amortization claim went unchecked")
+    else:
+        if warm_entries == 0:
+            violations.append(
+                f"{path}: no entries carry a warm_queries_checked counter "
+                "— the zero-rebuild amortization claim went unchecked")
+        if expiry_entries == 0:
+            violations.append(
+                f"{path}: no entries carry an expiry_queries counter — "
+                "the recluster work rule went unchecked")
     return violations, checked
 
 
@@ -747,9 +771,9 @@ def main(argv):
             if violations:
                 return 1
             print("ok: stream contract holds (every streamed query "
-                  "matches a from-scratch run over the live set, rebuilds "
-                  "amortized below one per batch, warm appends rebuild "
-                  "nothing)")
+                  "matches a from-scratch run over the live set, queries "
+                  "after an expiry do its exact work, warm appends "
+                  "rebuild nothing)")
             return 0
         if args.gate_graph:
             violations = []
