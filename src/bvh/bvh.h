@@ -167,47 +167,29 @@ class Bvh {
   void for_each_near(const Point<DIM>& p, float eps_squared,
                      std::int32_t min_sorted_pos, Callback&& cb,
                      TraversalStats* stats = nullptr) const {
-    if (n_ == 0) return;
-    if (n_ == 1) {
-      // Masked leaves are not tested and must not be counted — the n>1
-      // path skips them before touching stats, and dist_comps parity
-      // across the two paths depends on doing the same here.
-      if (min_sorted_pos > 0) return;
-      if (stats) ++stats->leaves_tested;
-      if (squared_distance(p, leaf_bounds_[0]) <= eps_squared) {
-        cb(std::int32_t{0}, sorted_ids_[0]);
-      }
-      return;
-    }
-    std::int32_t stack[kMaxStack];
-    int top = 0;
-    stack[top++] = 0;  // root is wide node 0
-    while (top > 0) {
-      const WideNode& node = wide_[static_cast<std::size_t>(stack[--top])];
-      float d2[kArity];
-      simd::box_d2_batch<DIM>(p, node.lo, node.hi, d2);
-      const int count = node.count;
-      for (int l = 0; l < count; ++l) {
-        const std::int32_t c = node.child[l];
-        if (c < 0) {  // leaf, encoded as ~sorted_pos
-          const std::int32_t pos = ~c;
-          if (pos < min_sorted_pos) continue;  // masked leaf
-          if (stats) ++stats->leaves_tested;
-          if (d2[l] <= eps_squared) {
-            if (cb(pos, sorted_ids_[static_cast<std::size_t>(pos)]) ==
-                TraversalControl::kTerminate) {
-              return;
-            }
-          }
-        } else {
-          if (node.range_end[l] < min_sorted_pos) continue;  // masked subtree
-          if (stats) ++stats->nodes_visited;
-          if (d2[l] <= eps_squared) {
-            stack[top++] = c;
-          }
-        }
-      }
-    }
+    walk(
+        [&](const WideNode& node, float (&d2)[kArity]) {
+          simd::box_d2_batch<DIM>(p, node.lo, node.hi, d2);
+        },
+        [&](const Box<DIM>& leaf) { return squared_distance(p, leaf); },
+        eps_squared, min_sorted_pos, std::forward<Callback>(cb), stats);
+  }
+
+  /// Box query: visits every leaf whose bounds lie within
+  /// sqrt(eps_squared) of box `q` (closest-point gap, geometry/box.h),
+  /// with the same mask, callback and counter contract as the point
+  /// query. FDBSCAN-DenseBox walks the mixed tree with each dense cell's
+  /// member bounds to find the cells it may connect to.
+  template <class Callback>
+  void for_each_near(const Box<DIM>& q, float eps_squared,
+                     std::int32_t min_sorted_pos, Callback&& cb,
+                     TraversalStats* stats = nullptr) const {
+    walk(
+        [&](const WideNode& node, float (&d2)[kArity]) {
+          simd::box_box_d2_batch<DIM>(q, node.lo, node.hi, d2);
+        },
+        [&](const Box<DIM>& leaf) { return squared_distance(q, leaf); },
+        eps_squared, min_sorted_pos, std::forward<Callback>(cb), stats);
   }
 
   /// Unmasked range query.
@@ -318,6 +300,57 @@ class Bvh {
   }
 
  private:
+  /// The masked, early-exit range walk shared by the point and box
+  /// queries: `batch(node, d2)` fills the 8 lane distances of a wide
+  /// node, `single(box)` the distance to the lone leaf of a one-
+  /// primitive tree.
+  template <class Batch, class Single, class Callback>
+  void walk(Batch&& batch, Single&& single, float eps_squared,
+            std::int32_t min_sorted_pos, Callback&& cb,
+            TraversalStats* stats) const {
+    if (n_ == 0) return;
+    if (n_ == 1) {
+      // Masked leaves are not tested and must not be counted — the n>1
+      // path skips them before touching stats, and dist_comps parity
+      // across the two paths depends on doing the same here.
+      if (min_sorted_pos > 0) return;
+      if (stats) ++stats->leaves_tested;
+      if (single(leaf_bounds_[0]) <= eps_squared) {
+        cb(std::int32_t{0}, sorted_ids_[0]);
+      }
+      return;
+    }
+    std::int32_t stack[kMaxStack];
+    int top = 0;
+    stack[top++] = 0;  // root is wide node 0
+    while (top > 0) {
+      const WideNode& node = wide_[static_cast<std::size_t>(stack[--top])];
+      float d2[kArity];
+      batch(node, d2);
+      const int count = node.count;
+      for (int l = 0; l < count; ++l) {
+        const std::int32_t c = node.child[l];
+        if (c < 0) {  // leaf, encoded as ~sorted_pos
+          const std::int32_t pos = ~c;
+          if (pos < min_sorted_pos) continue;  // masked leaf
+          if (stats) ++stats->leaves_tested;
+          if (d2[l] <= eps_squared) {
+            if (cb(pos, sorted_ids_[static_cast<std::size_t>(pos)]) ==
+                TraversalControl::kTerminate) {
+              return;
+            }
+          }
+        } else {
+          if (node.range_end[l] < min_sorted_pos) continue;  // masked subtree
+          if (stats) ++stats->nodes_visited;
+          if (d2[l] <= eps_squared) {
+            stack[top++] = c;
+          }
+        }
+      }
+    }
+  }
+
   /// Binary build node (temporary): Karras topology plus the sorted leaf
   /// range, which the collapse uses to pick the biggest subtree to
   /// expand.

@@ -439,6 +439,8 @@ class Engine {
       const std::int32_t num_cells = grid.num_dense_cells();
       const auto& cells = grid.cells();
       const auto& perm = grid.permutation();
+      const auto num_isolated = static_cast<std::int32_t>(
+          isolated_ids.size());
       const Parameters params = st->params;
       const Options& options = st->options;
       const float eps2 = st->eps2;
@@ -460,18 +462,48 @@ class Engine {
         }
       });
 
-      // Tree search for all points (dense-cell members included: they are
-      // the ones stitching adjacent cells together). Launched in grid
-      // order (the permutation lists each cell's members contiguously,
-      // then the isolated points by cell), so neighboring threads query
-      // spatially grouped points.
+      // Cell graph: every dense cell walks the tree with its member
+      // bounds, masked to the leaves after its own, so each pair of
+      // eps-close boxes is visited once, from the cell whose leaf comes
+      // first. One eps-close member pair (members_within, the early-exit
+      // closest-pair test) joins the two cells — both are all core.
       const auto member_axes = grid.member_axes();
-      exec::parallel_for("densebox/main/traverse-union", st->n,
+      exec::parallel_for("densebox/main/cell-pairs", num_cells,
+                         [&](std::int64_t c) {
+        const CellRange& a = cells[static_cast<std::size_t>(c)];
+        const std::int32_t pos = bvh.position_of(static_cast<std::int32_t>(c));
+        const Box<DIM>& a_box = bvh.leaf_bounds(pos);
+        std::int64_t scans = 0;
+        TraversalStats stats;
+        bvh.for_each_near(
+            a_box, eps2, pos + 1,
+            [&](std::int32_t other_pos, std::int32_t pid) {
+              if (pid < num_cells) {
+                const CellRange& b = cells[static_cast<std::size_t>(pid)];
+                if (members_within<DIM>(member_axes, a.begin, a.end, a_box,
+                                        b.begin, b.end,
+                                        bvh.leaf_bounds(other_pos), eps2,
+                                        scans, stats.nodes_visited)) {
+                  uf.merge(perm[static_cast<std::size_t>(a.begin)],
+                           perm[static_cast<std::size_t>(b.begin)]);
+                }
+              }
+              return TraversalControl::kContinue;
+            },
+            &stats);
+        stats.leaves_tested += scans;
+        st->work.local() += stats;
+      });
+
+      // Tree search for the isolated points only, in grid order (the
+      // permutation tail lists them by cell). An isolated point resolves
+      // each of its edges to a dense cell from its own side: it merges
+      // if core, is claimed if not (DBSCAN), and under FoF any eps-close
+      // member makes it core. Dense members therefore never traverse.
+      exec::parallel_for("densebox/main/traverse-union", num_isolated,
                          [&](std::int64_t k) {
-        const std::int32_t x = perm[static_cast<std::size_t>(k)];
+        const std::int32_t x = isolated_ids[static_cast<std::size_t>(k)];
         const auto& px = points[static_cast<std::size_t>(x)];
-        const std::int32_t own_cell =
-            grid.dense_cell_of()[static_cast<std::size_t>(x)];
         // Atomic: in the FoF path other threads set is_core[x] concurrently.
         const bool xc =
             exec::atomic_load_relaxed(is_core[static_cast<std::size_t>(x)]) !=
@@ -482,7 +514,6 @@ class Engine {
             px, eps2, 0,
             [&](std::int32_t, std::int32_t pid) {
           if (pid < num_cells) {
-            if (pid == own_cell) return TraversalControl::kContinue;
             const CellRange& cell = cells[static_cast<std::size_t>(pid)];
             // One eps-close witness connects x to the whole (core) cell.
             // The lane-group scan returns the lowest-index witness — the
@@ -492,11 +523,11 @@ class Engine {
                 member_axes, cell.begin, cell.end, px, eps2, scans);
             if (m >= 0) {
               const std::int32_t y = perm[static_cast<std::size_t>(m)];
-              if (fof && !xc) {
+              if (fof) {
                 exec::atomic_store_relaxed(
                     is_core[static_cast<std::size_t>(x)], std::uint8_t{1});
                 uf.merge(x, y);
-              } else if (xc || fof) {
+              } else if (xc) {
                 uf.merge(x, y);
               } else if (options.variant == Variant::kDbscan) {
                 uf.claim(x, y);
@@ -716,14 +747,20 @@ class Engine {
     const auto num_isolated = static_cast<std::int32_t>(n) - dense_points;
 
     // Primitives: [0, num_cells) dense-cell boxes, then isolated points.
-    // The box array only feeds the BVH build, so it is a temporary — the
-    // cached bundle keeps just the grid, the tree and the id remap.
+    // A cell's box is the tight bounds of its members, not its grid box:
+    // float rounding can floor a point into a cell whose box misses it,
+    // and a box test must never reject a cell holding an eps-close
+    // member. The box array only feeds the BVH build, so it is a
+    // temporary — the cached bundle keeps just the grid, the tree and
+    // the id remap.
     std::vector<Box<DIM>> primitives(
         static_cast<std::size_t>(num_cells + num_isolated));
+    const auto member_axes = grid.member_axes();
     exec::parallel_for("densebox/index/cell-boxes", num_cells,
                        [&](std::int64_t c) {
+      const CellRange& cell = cells[static_cast<std::size_t>(c)];
       primitives[static_cast<std::size_t>(c)] =
-          grid.spec().cell_box(cells[static_cast<std::size_t>(c)].key);
+          member_bounds<DIM>(member_axes, cell.begin, cell.end);
     });
     std::vector<std::int32_t> isolated_ids(
         static_cast<std::size_t>(num_isolated));
@@ -741,7 +778,6 @@ class Engine {
     const std::size_t tracked_bytes =
         perm.size() * sizeof(std::int32_t) +
         cells.size() * sizeof(CellRange) +
-        grid.dense_cell_of().size() * sizeof(std::int32_t) +
         grid.soa_bytes() +
         bvh.bytes_used() + isolated_ids.size() * sizeof(std::int32_t);
     if (config_.memory) config_.memory->charge(tracked_bytes);

@@ -1,7 +1,8 @@
 // Portable SIMD micro-kernels for the three loops that dominate every
-// clustering profile: batched point–box distance tests during wide-BVH
-// traversal (bvh/bvh.h), Morton encoding of the SoA point layout, and
-// dense-cell membership scans (core/engine.h). Built on GCC/Clang vector
+// clustering profile: batched point–box (and box–box) distance tests
+// during wide-BVH traversal (bvh/bvh.h), Morton encoding of the SoA
+// point layout, and dense-cell membership scans (core/engine.h,
+// grid/dense_grid.h). Built on GCC/Clang vector
 // extensions — no intrinsics, no -march requirements — with a scalar
 // twin for every kernel.
 //
@@ -12,6 +13,7 @@
 //   * point–box distance max(lo-p, p-hi, 0) equals the branchy
 //     three-case form of geometry/box.h for every input (x - x is +0,
 //     and for a valid box only one of the two differences is positive);
+//     the box–box gap uses the same max form in both twins;
 //   * point–point distance squares (a-b)^2 are sign-insensitive;
 //   * Morton quantization keeps the scalar divide (no reciprocal) and
 //     the identical clamp sequence, and the bit interleave is integer-
@@ -249,6 +251,23 @@ inline void box_d2_batch_vec(const Point<DIM>& p,
 }
 
 template <int DIM>
+inline void box_box_d2_batch_vec(const Box<DIM>& q,
+                                 const float (&lo)[DIM][kWidth],
+                                 const float (&hi)[DIM][kWidth],
+                                 float (&out)[kWidth]) noexcept {
+  v8f acc = splat8(0.0f);
+  const v8f zero = splat8(0.0f);
+  for (int d = 0; d < DIM; ++d) {
+    const v8f below = load8(lo[d]) - splat8(q.max[d]);
+    const v8f above = splat8(q.min[d]) - load8(hi[d]);
+    v8f diff = (below > above) ? below : above;
+    diff = (diff > zero) ? diff : zero;
+    acc += diff * diff;
+  }
+  store8(out, acc);
+}
+
+template <int DIM>
 inline void member_d2_vec(const std::array<const float*, DIM>& axes,
                           std::int64_t i0, const Point<DIM>& p,
                           float (&out)[kWidth]) noexcept {
@@ -289,6 +308,25 @@ inline void box_d2_batch_scalar(const Point<DIM>& p,
 }
 
 template <int DIM>
+inline void box_box_d2_batch_scalar(const Box<DIM>& q,
+                                    const float (&lo)[DIM][kWidth],
+                                    const float (&hi)[DIM][kWidth],
+                                    float (&out)[kWidth]) noexcept {
+  // Per lane this is geometry/box.h's box-box squared_distance verbatim.
+  for (int l = 0; l < kWidth; ++l) {
+    float s = 0.0f;
+    for (int d = 0; d < DIM; ++d) {
+      const float below = lo[d][l] - q.max[d];
+      const float above = q.min[d] - hi[d][l];
+      float diff = below > above ? below : above;
+      diff = diff > 0.0f ? diff : 0.0f;
+      s += diff * diff;
+    }
+    out[l] = s;
+  }
+}
+
+template <int DIM>
 inline void member_d2_scalar(const std::array<const float*, DIM>& axes,
                              std::int64_t i0, const Point<DIM>& p,
                              float (&out)[kWidth]) noexcept {
@@ -319,6 +357,23 @@ inline void box_d2_batch(const Point<DIM>& p, const float (&lo)[DIM][kWidth],
   }
 #endif
   detail::box_d2_batch_scalar<DIM>(p, lo, hi, out);
+}
+
+/// Squared gaps between box `q` and the 8 boxes stored lane-wise in
+/// lo/hi: the box-query twin of box_d2_batch (a dense cell's member
+/// bounds against a wide BVH node). Padding lanes produce +inf.
+template <int DIM>
+inline void box_box_d2_batch(const Box<DIM>& q,
+                             const float (&lo)[DIM][kWidth],
+                             const float (&hi)[DIM][kWidth],
+                             float (&out)[kWidth]) noexcept {
+#if FDBSCAN_SIMD_BACKEND
+  if (enabled()) {
+    detail::box_box_d2_batch_vec<DIM>(q, lo, hi, out);
+    return;
+  }
+#endif
+  detail::box_box_d2_batch_scalar<DIM>(q, lo, hi, out);
 }
 
 /// Morton codes for `count` consecutive points of an SoA view, written

@@ -7,6 +7,13 @@
 // the billions (§5.2 reports 3.5e9 cells with 28e6 non-empty), so points
 // are keyed by a 64-bit linear cell index and grouped by sorting, never by
 // allocating per-cell storage.
+//
+// Each dense cell's members are stored as an implicit kd-tree (median
+// splits on the widest axis, down to kMemberLeaf members), so halving a
+// member range at its index midpoint halves it in space too. That is what
+// lets members_within() — the early-exit bichromatic closest-pair test
+// that decides whether two dense cells connect — prune by the tight
+// bounds of ever smaller member halves instead of testing |A|·|B| pairs.
 #pragma once
 
 #include <algorithm>
@@ -19,6 +26,7 @@
 
 #include "exec/parallel.h"
 #include "exec/radix_sort.h"
+#include "exec/simd.h"
 #include "geometry/box.h"
 #include "geometry/point.h"
 #include "geometry/points_view.h"
@@ -122,6 +130,114 @@ struct CellRange {
   [[nodiscard]] std::int32_t count() const noexcept { return end - begin; }
 };
 
+/// Member ranges at or below this size are not split further: neither by
+/// the kd order of a dense cell's members nor by members_within().
+inline constexpr std::int32_t kMemberLeaf = 2 * simd::kWidth;
+
+/// Tight bounds of the SoA members [begin, end) (min/max are exact, so
+/// every member lies inside — unlike the cell's grid box, whose float
+/// faces can miss a member that floor() rounded into the cell).
+template <int DIM>
+[[nodiscard]] inline Box<DIM> member_bounds(
+    const std::array<const float*, DIM>& axes, std::int32_t begin,
+    std::int32_t end) noexcept {
+  Box<DIM> b = Box<DIM>::empty();
+  for (int d = 0; d < DIM; ++d) {
+    const float* axis = axes[static_cast<std::size_t>(d)];
+    float lo = b.min[d];
+    float hi = b.max[d];
+    for (std::int32_t m = begin; m < end; ++m) {
+      lo = std::min(lo, axis[m]);
+      hi = std::max(hi, axis[m]);
+    }
+    b.min[d] = lo;
+    b.max[d] = hi;
+  }
+  return b;
+}
+
+/// Early-exit bichromatic closest-pair test: true iff some member of
+/// [a_begin, a_end) and some member of [b_begin, b_end) lie within
+/// sqrt(eps_squared) of each other. `a_box` / `b_box` are the ranges'
+/// member_bounds(). Correct for any member order, and fast when both
+/// ranges are kd-ordered (DenseGrid members are): the larger range is
+/// halved at its index midpoint, each half whose tight bounds are within
+/// eps of the other range is searched, nearer half first, and ranges no
+/// larger than kMemberLeaf are decided by simd::first_within scans of the
+/// larger range from each member of the smaller. Work is deterministic: `scans` advances group-
+/// granularly per member scan, `box_tests` by the half-bounds tests.
+template <int DIM>
+[[nodiscard]] inline bool members_within(
+    const std::array<const float*, DIM>& axes, std::int32_t a_begin,
+    std::int32_t a_end, const Box<DIM>& a_box, std::int32_t b_begin,
+    std::int32_t b_end, const Box<DIM>& b_box, float eps_squared,
+    std::int64_t& scans, std::int64_t& box_tests) noexcept {
+  struct Task {
+    std::int32_t a_begin, a_end, b_begin, b_end;
+    Box<DIM> a_box, b_box;
+  };
+  // Depth-first: at most one pending sibling per halving, and each
+  // halving shrinks one range, so 2 * 32 levels bound the stack.
+  Task stack[64];
+  int top = 0;
+  stack[top++] = {a_begin, a_end, b_begin, b_end, a_box, b_box};
+  while (top > 0) {
+    Task t = stack[--top];
+    std::int32_t a_size = t.a_end - t.a_begin;
+    std::int32_t b_size = t.b_end - t.b_begin;
+    if (std::max(a_size, b_size) <= kMemberLeaf) {
+      // Scan the larger range once per member of the smaller one.
+      if (a_size > b_size) {
+        std::swap(t.a_begin, t.b_begin);
+        std::swap(t.a_end, t.b_end);
+        std::swap(a_size, b_size);
+      }
+      for (std::int32_t m = t.a_begin; m < t.a_end; ++m) {
+        Point<DIM> p;
+        for (int d = 0; d < DIM; ++d) {
+          p[d] = axes[static_cast<std::size_t>(d)][m];
+        }
+        if (simd::first_within<DIM>(axes, t.b_begin, t.b_end, p, eps_squared,
+                                    scans) >= 0) {
+          return true;
+        }
+      }
+      continue;
+    }
+    // Halve the larger range; the other keeps its bounds.
+    const bool split_a = a_size >= b_size;
+    const std::int32_t begin = split_a ? t.a_begin : t.b_begin;
+    const std::int32_t end = split_a ? t.a_end : t.b_end;
+    const Box<DIM>& other = split_a ? t.b_box : t.a_box;
+    const std::int32_t mid = begin + (end - begin) / 2;
+    const Box<DIM> lo_box = member_bounds<DIM>(axes, begin, mid);
+    const Box<DIM> hi_box = member_bounds<DIM>(axes, mid, end);
+    const float lo_d2 = squared_distance(lo_box, other);
+    const float hi_d2 = squared_distance(hi_box, other);
+    box_tests += 2;
+    Task lo_task = t;
+    Task hi_task = t;
+    if (split_a) {
+      lo_task.a_end = mid;
+      lo_task.a_box = lo_box;
+      hi_task.a_begin = mid;
+      hi_task.a_box = hi_box;
+    } else {
+      lo_task.b_end = mid;
+      lo_task.b_box = lo_box;
+      hi_task.b_begin = mid;
+      hi_task.b_box = hi_box;
+    }
+    // Push the farther half first so the nearer one is searched first.
+    const bool lo_first = lo_d2 <= hi_d2;
+    const Task& first = lo_first ? lo_task : hi_task;
+    const Task& second = lo_first ? hi_task : lo_task;
+    if ((lo_first ? hi_d2 : lo_d2) <= eps_squared) stack[top++] = second;
+    if ((lo_first ? lo_d2 : hi_d2) <= eps_squared) stack[top++] = first;
+  }
+  return false;
+}
+
 /// Sparse occupancy structure: points grouped by cell, dense cells
 /// identified. `permutation()[k]` is the original index of the k-th point
 /// in cell-grouped order; dense cells come first in `cells()`.
@@ -153,16 +269,6 @@ class DenseGrid {
   /// Number of points living in dense cells (they are a prefix of the
   /// permutation).
   std::int32_t points_in_dense_cells() const noexcept { return dense_points_; }
-
-  /// For each original point: index into cells() of its dense cell, or -1
-  /// if the point is not in a dense cell.
-  const std::vector<std::int32_t>& dense_cell_of() const noexcept {
-    return dense_cell_of_;
-  }
-
-  [[nodiscard]] bool in_dense_cell(std::int32_t point) const noexcept {
-    return dense_cell_of_[static_cast<std::size_t>(point)] >= 0;
-  }
 
   /// SoA mirror of the permuted points: `member_axes()[d][k]` is
   /// coordinate d of permutation()[k]. Cell ranges index straight into
@@ -243,13 +349,25 @@ class DenseGrid {
       offset += c;
     }
 
-    dense_cell_of_.assign(points.size(), -1);
-    for (std::int32_t ci = 0; ci < num_dense_; ++ci) {
-      const auto& cell = cells_[static_cast<std::size_t>(ci)];
-      for (std::int32_t k = cell.begin; k < cell.end; ++k)
-        dense_cell_of_[static_cast<std::size_t>(
-            perm_[static_cast<std::size_t>(k)])] = ci;
-    }
+    // Members of each dense cell in kd order (file comment): the order
+    // members_within() halves by.
+    exec::parallel_for("dense-grid/kd-order", num_dense_, [&](std::int64_t c) {
+      const CellRange& cell = cells_[static_cast<std::size_t>(c)];
+      if (cell.count() <= kMemberLeaf) return;
+      // Ordered as a contiguous copy: the median searches then stream
+      // through memory instead of gathering points[id].
+      std::vector<Member> members(static_cast<std::size_t>(cell.count()));
+      for (std::int32_t k = cell.begin; k < cell.end; ++k) {
+        const std::int32_t id = perm_[static_cast<std::size_t>(k)];
+        members[static_cast<std::size_t>(k - cell.begin)] = {
+            points[static_cast<std::size_t>(id)], id};
+      }
+      kd_order(members.data(), members.data() + members.size());
+      for (std::int32_t k = cell.begin; k < cell.end; ++k) {
+        perm_[static_cast<std::size_t>(k)] =
+            members[static_cast<std::size_t>(k - cell.begin)].id;
+      }
+    });
 
     // SoA mirror in final permuted order (member_axes() contract above).
     for (int d = 0; d < DIM; ++d) {
@@ -267,10 +385,36 @@ class DenseGrid {
     });
   }
 
+  struct Member {
+    Point<DIM> p;
+    std::int32_t id;
+  };
+
+  /// Reorders [first, last) into an implicit kd-tree: the range is split
+  /// at its index midpoint by the median on the widest axis of its bounds
+  /// (ties by id, so the order is deterministic), and both halves are
+  /// ordered the same way down to kMemberLeaf members.
+  static void kd_order(Member* first, Member* last) {
+    while (last - first > kMemberLeaf) {
+      Box<DIM> b = Box<DIM>::empty();
+      for (const Member* m = first; m != last; ++m) b.expand(m->p);
+      int axis = 0;
+      for (int d = 1; d < DIM; ++d) {
+        if (b.max[d] - b.min[d] > b.max[axis] - b.min[axis]) axis = d;
+      }
+      Member* mid = first + (last - first) / 2;
+      std::nth_element(first, mid, last, [axis](const Member& x,
+                                                const Member& y) {
+        return x.p[axis] < y.p[axis] || (x.p[axis] == y.p[axis] && x.id < y.id);
+      });
+      kd_order(first, mid);
+      first = mid;
+    }
+  }
+
   GridSpec<DIM> spec_;
   std::vector<std::int32_t> perm_;
   std::vector<CellRange> cells_;
-  std::vector<std::int32_t> dense_cell_of_;
   std::array<std::vector<float>, DIM> member_coords_;
   std::int32_t num_dense_ = 0;
   std::int32_t dense_points_ = 0;

@@ -106,8 +106,10 @@ struct ServiceConfig {
   /// it rejects with kSessionLimit. Env: FDBSCAN_SERVICE_SESSION_CAP.
   std::int32_t session_capacity = 16;
   /// Session rebuild threshold as a percentage: a session's streaming
-  /// engine re-sorts + rebuilds its BVH when pending work (live delta
-  /// points + retired slots) exceeds this percent of the live set.
+  /// engine compacts its storage when pending work (live delta points +
+  /// retired slots) exceeds this percent of the live set. The index is
+  /// rebuilt there only while the union-find is valid (append-only
+  /// growth); after an expiry the next query's recluster builds it.
   /// Env: FDBSCAN_SESSION_REBUILD_PCT.
   std::int32_t session_rebuild_pct = 25;
   /// Requests always run fork-join on their dispatcher; there is no

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <map>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "test_utils.h"
 
@@ -138,23 +140,37 @@ TEST(DenseGrid, DenseCellsComeFirst) {
   }
 }
 
-TEST(DenseGrid, DenseCellOfIsConsistent) {
-  auto pts = testing::clustered_points<2>(1500, 5, 1.0f, 0.006f, 13);
-  DenseGrid<2> grid(pts, 0.04f, 7);
-  std::int32_t dense_points = 0;
-  for (std::size_t i = 0; i < pts.size(); ++i) {
-    const std::int32_t c = grid.dense_cell_of()[i];
-    if (c >= 0) {
-      ++dense_points;
-      EXPECT_LT(c, grid.num_dense_cells());
-      EXPECT_EQ(grid.cells()[static_cast<std::size_t>(c)].key,
-                grid.spec().cell_key(pts[i]));
-      EXPECT_TRUE(grid.in_dense_cell(static_cast<std::int32_t>(i)));
-    } else {
-      EXPECT_FALSE(grid.in_dense_cell(static_cast<std::int32_t>(i)));
-    }
+TEST(DenseGrid, DenseCellMembersAreKdOrdered) {
+  // members_within() halves member ranges at their index midpoints; the
+  // halves must be spatially separated on some axis, recursively, down
+  // to kMemberLeaf members.
+  auto pts = testing::clustered_points<2>(4000, 3, 1.0f, 0.01f, 23);
+  pts.insert(pts.end(), 40, pts.front());  // duplicates: ties by id
+  DenseGrid<2> grid(pts, 0.05f, 5);
+  const auto axes = grid.member_axes();
+  std::int32_t splits = 0;
+  std::vector<std::pair<std::int32_t, std::int32_t>> ranges;
+  for (std::int32_t c = 0; c < grid.num_dense_cells(); ++c) {
+    const auto& cell = grid.cells()[static_cast<std::size_t>(c)];
+    ranges.emplace_back(cell.begin, cell.end);
   }
-  EXPECT_EQ(dense_points, grid.points_in_dense_cells());
+  while (!ranges.empty()) {
+    const auto [begin, end] = ranges.back();
+    ranges.pop_back();
+    if (end - begin <= kMemberLeaf) continue;
+    const std::int32_t mid = begin + (end - begin) / 2;
+    const Box2 lo = member_bounds<2>(axes, begin, mid);
+    const Box2 hi = member_bounds<2>(axes, mid, end);
+    bool separated = false;
+    for (int d = 0; d < 2; ++d) {
+      separated = separated || lo.max[d] <= hi.min[d];
+    }
+    EXPECT_TRUE(separated) << "range [" << begin << ", " << end << ")";
+    ++splits;
+    ranges.emplace_back(begin, mid);
+    ranges.emplace_back(mid, end);
+  }
+  EXPECT_GT(splits, 50);
 }
 
 TEST(DenseGrid, AllPointsInDenseCellsAreMutuallyWithinEps) {

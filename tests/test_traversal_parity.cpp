@@ -191,9 +191,11 @@ TEST(DenseboxMaskParity, TwoPointsSeparateCellsHoldParityIdentity) {
 
 TEST(DenseboxMaskParity, DuplicateCoordinatesCollapseToOneDenseBoxTest) {
   // All duplicates share one dense cell: the BVH holds a single box
-  // primitive (the n==1 fast path inside a clustering run) and each of
-  // the n queries tests exactly that one leaf; the own-cell skip means
-  // no member scans. dist_comps == n, at every worker count.
+  // primitive (the n==1 fast path inside a clustering run). Dense
+  // members never traverse, the lone cell's pair walk is masked past its
+  // own leaf, there are no isolated points, and minpts 2 skips the
+  // core count: the run performs no distance computation at all, at
+  // every worker count.
   std::vector<Point2> dups;
   for (int i = 0; i < 8; ++i) dups.push_back({{0.4f, 0.4f}});
   const Parameters params{1.0f, 2};
@@ -201,9 +203,8 @@ TEST(DenseboxMaskParity, DuplicateCoordinatesCollapseToOneDenseBoxTest) {
     ScopedThreads scoped(threads);
     const auto result = fdbscan_densebox(dups, params);
     ASSERT_EQ(result.num_dense_cells, 1);
-    EXPECT_EQ(result.distance_computations,
-              static_cast<std::int64_t>(dups.size()))
-        << "threads=" << threads;
+    EXPECT_EQ(result.distance_computations, 0) << "threads=" << threads;
+    EXPECT_EQ(result.index_nodes_visited, 0) << "threads=" << threads;
     EXPECT_EQ(result.num_clusters, 1);
   }
 }
