@@ -29,9 +29,7 @@
 # nonzero halo volume, so the gate cannot pass vacuously. Its entries
 # also stage the obs registry's per-window deltas (OBS_BENCHES):
 # --gate-obs requires the registry mirror to match ServiceMetrics
-# bit-equal on every shared key. It also carries the task-graph entry
-# (GRAPH_BENCHES): --gate-graph requires graph-staged sharded requests
-# bit-equal to the barrier waves across the worker sweep, non-vacuously.
+# bit-equal on every shared key.
 #
 # stream_throughput (in STREAM_BENCHES) is gated on the streaming-session
 # contract (--gate-stream): every sliding-window query equivalent to a
@@ -84,11 +82,6 @@ set(SHARD_BENCHES service_throughput)
 # Benches staging obs-registry deltas alongside their service blocks:
 # gated on the mirror cross-check (tools/bench_compare.py --gate-obs).
 set(OBS_BENCHES service_throughput)
-
-# Benches carrying the task-graph entry: gated on the graph contract
-# (tools/bench_compare.py --gate-graph) — graph-staged sharded requests
-# bit-equal to the barrier waves across the worker sweep.
-set(GRAPH_BENCHES service_throughput)
 
 # Benches carrying streaming-session entries: gated on the stream
 # contract (tools/bench_compare.py --gate-stream) — every streamed query
@@ -207,21 +200,6 @@ foreach(bench ${SMOKE_BENCHES})
         "bench_smoke: stream gate failed in ${bench}\n${stm_out}\n${stm_err}")
     endif()
     message(STATUS "bench_smoke: ${bench} stream contract ok\n${stm_out}")
-  endif()
-
-  if(bench IN_LIST GRAPH_BENCHES)
-    execute_process(
-      COMMAND ${PYTHON} ${COMPARE} --gate-graph
-        ${WORK_DIR}/BENCH_${bench}_t1.json
-        ${WORK_DIR}/BENCH_${bench}_t8.json
-      RESULT_VARIABLE rc
-      OUTPUT_VARIABLE gph_out
-      ERROR_VARIABLE gph_err)
-    if(NOT rc EQUAL 0)
-      message(FATAL_ERROR
-        "bench_smoke: graph gate failed in ${bench}\n${gph_out}\n${gph_err}")
-    endif()
-    message(STATUS "bench_smoke: ${bench} graph contract ok\n${gph_out}")
   endif()
 
   if(bench IN_LIST OBS_BENCHES)

@@ -20,12 +20,6 @@
 //                bit-identical core flags) at 1/2/8 workers x 1/2/4
 //                shards, with a nonzero halo volume whenever shards > 1
 //                (tools/bench_compare.py --gate-shards).
-//   graph_equivalence  the task-graph runtime's correctness gate: a
-//                2-shard request, whose ShardedEngine stages per-shard
-//                chains on the shared scheduler, produces bit-identical
-//                core flags, cluster counts and work counters with
-//                exec::graph enabled and disabled (barrier waves) at
-//                1/2/8 workers (bench_compare.py --gate-graph).
 //
 // Each entry stages its ServiceMetrics into the telemetry "service"
 // block; tools/bench_compare.py --gate-service enforces the invariants.
@@ -37,7 +31,6 @@
 #include <chrono>
 #include <future>
 #include <memory>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -45,7 +38,6 @@
 #include "common.h"
 #include "core/validate.h"
 #include "data/generators.h"
-#include "exec/graph/task_graph.h"
 #include "exec/thread_pool.h"
 #include "obs/metrics.h"
 #include "service/service.h"
@@ -300,65 +292,6 @@ void register_all() {
         state.counters["ghosts"] = static_cast<double>(ghosts);
         state.counters["cross_edges"] = static_cast<double>(cross_edges);
         state.counters["halo_KB"] = static_cast<double>(halo_bytes) / 1024.0;
-      });
-
-  // --- Graph-vs-waves equivalence -----------------------------------------
-  // The service's sharded requests are the one path that still stages a
-  // task graph, and exec::graph::set_enabled toggles it against the
-  // barrier waves. Worker counts are swept internally (and restored)
-  // exactly like sharded_equivalence, so the verdict counters are
-  // worker-count invariant under the smoke harness's outer 1-vs-8 sweep.
-  // Labels are compared only at workers=1 (the dense mixture has
-  // genuinely ambiguous border points at >1 workers — the
-  // schedule-independent fields are compared everywhere).
-  register_custom(
-      "service_throughput/graph_equivalence/n=" + std::to_string(n),
-      RunMeta{"gaussian", "service-graph", n},
-      [=](benchmark::State& state) {
-        const Parameters gparams{0.05f, 10};
-        const auto pts = make_dataset(n, 45);
-        const int env_threads = exec::num_threads();
-        const bool graph_was = exec::graph::enabled();
-        std::int64_t checked = 0;
-        std::int64_t failures = 0;
-        std::int64_t sharded_runs = 0;
-        constexpr std::int32_t kShards = 2;
-        for (int workers : {1, 2, 8}) {
-          exec::set_num_threads(workers);
-          std::optional<Clustering> by_mode[2];
-          for (int mode = 0; mode < 2; ++mode) {
-            exec::graph::set_enabled(mode == 1);
-            ClusterService svc;
-            SubmitOptions submit;
-            submit.method = Method::kFdbscan;
-            submit.shards = kShards;
-            auto r = svc.submit<2>("ds", pts, gparams, submit).get();
-            svc.wait_idle();
-            if (r.has_value()) by_mode[mode].emplace(std::move(*r));
-          }
-          ++checked;
-          const Clustering* waves = by_mode[0] ? &*by_mode[0] : nullptr;
-          const Clustering* graph = by_mode[1] ? &*by_mode[1] : nullptr;
-          const bool ok =
-              waves != nullptr && graph != nullptr &&
-              graph->is_core == waves->is_core &&
-              graph->num_clusters == waves->num_clusters &&
-              graph->distance_computations == waves->distance_computations &&
-              graph->index_nodes_visited == waves->index_nodes_visited &&
-              graph->num_dense_cells == waves->num_dense_cells &&
-              graph->points_in_dense_cells == waves->points_in_dense_cells &&
-              (workers != 1 || graph->labels == waves->labels);
-          if (!ok) ++failures;
-          // Counts only runs that really took the multi-shard path (a
-          // shard plan that collapsed to one shard stages no graph).
-          if (graph != nullptr && graph->num_shards > 1) ++sharded_runs;
-        }
-        exec::graph::set_enabled(graph_was);
-        exec::set_num_threads(env_threads);
-        state.counters["graph_equiv_checked"] = static_cast<double>(checked);
-        state.counters["graph_equiv_failures"] = static_cast<double>(failures);
-        state.counters["graph_sharded_runs"] =
-            static_cast<double>(sharded_runs);
       });
 
   // --- Cancellation latency ----------------------------------------------

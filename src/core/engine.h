@@ -32,7 +32,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -40,7 +39,6 @@
 #include "bvh/bvh.h"
 #include "core/clustering.h"
 #include "exec/cancel.h"
-#include "exec/graph/task_graph.h"
 #include "exec/per_thread.h"
 #include "exec/profile.h"
 #include "exec/simd.h"
@@ -50,20 +48,6 @@
 #include "grid/dense_grid.h"
 
 namespace fdbscan {
-
-/// A clustering run decomposed into its dependency-ordered phases
-/// (index → pre → main → finalize). Executing the phases in order —
-/// serially (Engine::run does exactly this) or as a task-graph chain
-/// (exec/graph) — performs the identical kernel launches in the
-/// identical order, so labels and work counters are bit-identical
-/// between the two paths at any worker count. The phase closures share
-/// ownership of all intermediate state; `result` holds the clustering
-/// once the last phase has run. The engine must outlive the phases
-/// (runs still serialize per engine: one staged run at a time).
-struct StagedRun {
-  std::vector<exec::graph::Phase> phases;
-  std::shared_ptr<Clustering> result;
-};
 
 struct EngineConfig {
   /// Maximum number of DenseBox index bundles kept alive (LRU evicted).
@@ -153,391 +137,91 @@ class Engine {
 
   /// FDBSCAN (§4.1) over the engine's points. Bit-identical to
   /// fdbscan(points, params, options) at any worker count; the index
-  /// phase is ~free on every run after the first. Implemented as the
-  /// serial execution of stage(): one code path for fork-join and graph.
+  /// phase is ~free on every run after the first.
   [[nodiscard]] Clustering run(const Parameters& params,
                                const Options& options = {}) {
-    StagedRun staged = stage(params, options);
-    for (exec::graph::Phase& phase : staged.phases) phase.fn();
-    return std::move(*staged.result);
-  }
-
-  /// FDBSCAN decomposed into its four phases for the task-graph runtime
-  /// (DESIGN.md §15). Counts as a run (begin_run() happens here, so a
-  /// pre-cancelled token fast-fails before any node is queued); the
-  /// phase closures perform the exact kernels of the one-shot path.
-  [[nodiscard]] StagedRun stage(const Parameters& params,
-                                const Options& options = {}) {
-    StagedRun staged;
-    staged.result = std::make_shared<Clustering>();
     const auto n = static_cast<std::int64_t>(points_->size());
-    if (n == 0) return staged;  // empty phases; *result is already {}
-    auto st = std::make_shared<StageState>();
-    st->params = params;
-    st->options = options;
-    st->n = n;
-    st->eps2 = params.eps * params.eps;
-    st->snap = begin_run();
+    if (n == 0) return {};
+    const auto& points = *points_;
+    const RunSnapshot snap = begin_run();
+    // The result vectors (labels + core flags) are the caller's product;
+    // charge them to the per-run tracker like the one-shot path always
+    // did. Engine-owned state is charged to config.memory. The charge is
+    // released when run() returns, before the caller sees the result.
+    const exec::ScopedCharge charge(
+        options.memory,
+        points.size() * (sizeof(std::int32_t) + sizeof(std::uint8_t)));
+    exec::PhaseProfiler timer;
+    PhaseTimings timings;
+    exec::PerThread<TraversalStats> work;
+    const float eps2 = params.eps * params.eps;
 
-    staged.phases.push_back(exec::graph::Phase{"fdbscan/index", [this, st] {
-      // The result vectors (labels + core flags) are the caller's
-      // product; charge them to the per-run tracker like the one-shot
-      // path always did. Engine-owned state is charged to config.memory.
-      // Charge and profiler start here — not at stage time — so queue
-      // wait ahead of the first node never counts as index time.
-      st->charge.emplace(
-          st->options.memory,
-          points_->size() * (sizeof(std::int32_t) + sizeof(std::uint8_t)));
-      st->timer.emplace();
-      st->bvh = &ensure_bvh();
-      st->timings.index_construction = st->timer->lap(
-          "fdbscan/index", &st->timings.index_construction_profile);
-    }});
+    // --- Index ------------------------------------------------------------
+    const Bvh<DIM>& bvh = ensure_bvh();
+    timings.index_construction =
+        timer.lap("fdbscan/index", &timings.index_construction_profile);
 
-    staged.phases.push_back(exec::graph::Phase{"fdbscan/pre", [this, st] {
-      // --- Preprocessing: determine core points ---------------------------
-      // Work counters accumulate into striped per-thread slots: a shared
-      // atomic here would serialize every traversal thread on one cache
-      // line.
-      const auto& points = *points_;
-      const Bvh<DIM>& bvh = *st->bvh;
-      const Parameters params = st->params;
-      const Options& options = st->options;
-      const float eps2 = st->eps2;
-      st->is_core.assign(points.size(), 0);
-      auto& is_core = st->is_core;
-      if (params.minpts <= 1) {
-        // Degenerate density threshold: every point is core.
-        exec::parallel_for("fdbscan/pre/all-core", st->n, [&](std::int64_t i) {
-          is_core[static_cast<std::size_t>(i)] = 1;
-        });
-      } else if (params.minpts > 2) {
-        // Launched over sorted leaf positions, like the main phase: the
-        // §3.2 batched launch, where neighboring threads query neighboring
-        // points. The query point is read from the sorted leaf array (a
-        // point's leaf box is {p, p}), so consecutive threads read
-        // consecutive memory instead of gathering points[x].
-        exec::parallel_for("fdbscan/pre/core-count", st->n,
-                           [&](std::int64_t pos) {
-          const auto sorted_pos = static_cast<std::int32_t>(pos);
-          const std::int32_t x = bvh.primitive_at(sorted_pos);
-          std::int32_t count = 0;  // the traversal finds x itself at distance 0
-          TraversalStats stats;  // stack-local: increments stay in registers
-          bvh.for_each_near(
-              bvh.leaf_bounds(sorted_pos).min, eps2, 0,
-              [&](std::int32_t, std::int32_t) {
-                ++count;
-                return (options.early_exit && count >= params.minpts)
-                           ? TraversalControl::kTerminate
-                           : TraversalControl::kContinue;
-              },
-              &stats);
-          if (count >= params.minpts) is_core[static_cast<std::size_t>(x)] = 1;
-          st->work.local() += stats;
-        });
-      }
-      st->timings.preprocessing =
-          st->timer->lap("fdbscan/pre", &st->timings.preprocessing_profile);
-    }});
-
-    staged.phases.push_back(exec::graph::Phase{"fdbscan/main", [this, st] {
-      // --- Main phase: fused traversal + union-find -----------------------
-      const auto& points = *points_;
-      const Bvh<DIM>& bvh = *st->bvh;
-      const Options& options = st->options;
-      const float eps2 = st->eps2;
-      auto& is_core = st->is_core;
-      st->labels = workspace_.acquire<std::int32_t>(kUnionFind, points.size());
-      init_singletons(st->labels.data(), static_cast<std::int32_t>(st->n));
-      UnionFindView uf(st->labels.data(), static_cast<std::int32_t>(st->n));
-      const bool fof = st->params.minpts == 2;  // Friends-of-Friends fast path
-
-      exec::parallel_for("fdbscan/main/traverse-union", st->n,
-                         [&](std::int64_t pos) {
-        // Threads are assigned sorted leaf positions (not raw ids) so that
-        // neighboring threads touch neighboring memory — the batched, low
-        // data-divergence launch of §3.2. The query point comes from the
-        // sorted leaf array, as in the pre phase.
+    // --- Preprocessing: determine core points -----------------------------
+    // Work counters accumulate into striped per-thread slots: a shared
+    // atomic here would serialize every traversal thread on one cache
+    // line.
+    std::vector<std::uint8_t> is_core(points.size(), 0);
+    if (params.minpts <= 1) {
+      // Degenerate density threshold: every point is core.
+      exec::parallel_for("fdbscan/pre/all-core", n, [&](std::int64_t i) {
+        is_core[static_cast<std::size_t>(i)] = 1;
+      });
+    } else if (params.minpts > 2) {
+      // Launched over sorted leaf positions, like the main phase: the
+      // §3.2 batched launch, where neighboring threads query neighboring
+      // points. The query point is read from the sorted leaf array (a
+      // point's leaf box is {p, p}), so consecutive threads read
+      // consecutive memory instead of gathering points[x].
+      exec::parallel_for("fdbscan/pre/core-count", n, [&](std::int64_t pos) {
         const auto sorted_pos = static_cast<std::int32_t>(pos);
         const std::int32_t x = bvh.primitive_at(sorted_pos);
-        const Point<DIM>& px = bvh.leaf_bounds(sorted_pos).min;
-        const std::int32_t mask = options.masked_traversal ? sorted_pos + 1 : 0;
-        TraversalStats stats;
+        std::int32_t count = 0;  // the traversal finds x itself at distance 0
+        TraversalStats stats;  // stack-local: increments stay in registers
         bvh.for_each_near(
-            px, eps2, mask,
-            [&](std::int32_t, std::int32_t y) {
-              if (y != x) {
-                if (fof) {
-                  // Any eps-close pair consists of two core points (|N| >= 2).
-                  exec::atomic_store_relaxed(
-                      is_core[static_cast<std::size_t>(x)], std::uint8_t{1});
-                  exec::atomic_store_relaxed(
-                      is_core[static_cast<std::size_t>(y)], std::uint8_t{1});
-                  uf.merge(x, y);
-                } else {
-                  detail::resolve_pair(uf, is_core, x, y, options.variant);
-                }
-              }
-              return TraversalControl::kContinue;
+            bvh.leaf_bounds(sorted_pos).min, eps2, 0,
+            [&](std::int32_t, std::int32_t) {
+              ++count;
+              return (options.early_exit && count >= params.minpts)
+                         ? TraversalControl::kTerminate
+                         : TraversalControl::kContinue;
             },
             &stats);
-        st->work.local() += stats;
+        if (count >= params.minpts) is_core[static_cast<std::size_t>(x)] = 1;
+        work.local() += stats;
       });
-      st->timings.main = st->timer->lap("fdbscan/main", &st->timings.main_profile);
-    }});
+    }
+    timings.preprocessing =
+        timer.lap("fdbscan/pre", &timings.preprocessing_profile);
 
-    staged.phases.push_back(exec::graph::Phase{
-        "fdbscan/finalize", [this, st, result = staged.result] {
-      // --- Finalization ---------------------------------------------------
-      flatten(st->labels.data(), static_cast<std::int32_t>(st->n));
-      std::span<std::int32_t> compact =
-          workspace_.acquire<std::int32_t>(kCompact, points_->size());
-      Clustering out = detail::finalize_labels_with_scratch(
-          st->labels.data(), st->n, std::move(st->is_core), compact.data());
-      st->timings.finalization = st->timer->lap(
-          "fdbscan/finalize", &st->timings.finalization_profile);
-      out.timings = st->timings;
-      const TraversalStats total_work = st->work.combine();
-      out.distance_computations = total_work.leaves_tested;
-      out.index_nodes_visited = total_work.nodes_visited;
-      end_run(st->snap, out, st->options);
-      // Release the per-run tracker charge here, not when the StageState
-      // dies with the GraphRun: the caller may destroy its per-request
-      // Options::memory tracker as soon as the result future resolves,
-      // and the deferred release would then touch a dead tracker.
-      st->charge.reset();
-      *result = std::move(out);
-    }});
-    return staged;
-  }
+    // --- Main phase: fused traversal + union-find -------------------------
+    std::span<std::int32_t> labels =
+        workspace_.acquire<std::int32_t>(kUnionFind, points.size());
+    init_singletons(labels.data(), static_cast<std::int32_t>(n));
+    UnionFindView uf(labels.data(), static_cast<std::int32_t>(n));
+    const bool fof = params.minpts == 2;  // Friends-of-Friends fast path
 
-  /// FDBSCAN-DenseBox (§4.2) over the engine's points. The grid + mixed
-  /// BVH bundle is cached by (eps, cell_width_factor, max(minpts, 1)):
-  /// re-running a cached configuration skips the entire index phase.
-  /// Like run(), the serial execution of stage_densebox().
-  [[nodiscard]] Clustering run_densebox(const Parameters& params,
-                                        const Options& options = {}) {
-    StagedRun staged = stage_densebox(params, options);
-    for (exec::graph::Phase& phase : staged.phases) phase.fn();
-    return std::move(*staged.result);
-  }
-
-  /// FDBSCAN-DenseBox decomposed into its four phases for the task-graph
-  /// runtime (DESIGN.md §15); see stage().
-  [[nodiscard]] StagedRun stage_densebox(const Parameters& params,
-                                         const Options& options = {}) {
-    StagedRun staged;
-    staged.result = std::make_shared<Clustering>();
-    const auto n = static_cast<std::int64_t>(points_->size());
-    if (n == 0) return staged;  // empty phases; *result is already {}
-    auto st = std::make_shared<StageState>();
-    st->params = params;
-    st->options = options;
-    st->n = n;
-    st->eps2 = params.eps * params.eps;
-    st->snap = begin_run();
-
-    staged.phases.push_back(exec::graph::Phase{"densebox/index", [this, st] {
-      st->charge.emplace(
-          st->options.memory,
-          points_->size() * (sizeof(std::int32_t) + sizeof(std::uint8_t)));
-      st->timer.emplace();
-      // --- Index: grid + BVH over mixed primitives, cached ----------------
-      // The entry pointer stays valid through the run: one run at a time
-      // per engine, and ensure_grid is only called from index phases.
-      st->grid = &ensure_grid(st->params, st->options);
-      st->timings.index_construction = st->timer->lap(
-          "densebox/index", &st->timings.index_construction_profile);
-    }});
-
-    staged.phases.push_back(exec::graph::Phase{"densebox/pre", [this, st] {
-      const auto& points = *points_;
-      const GridEntry& entry = *st->grid;
-      const DenseGrid<DIM>& grid = entry.grid;
-      const Bvh<DIM>& bvh = entry.bvh;
-      const std::vector<std::int32_t>& isolated_ids = entry.isolated_ids;
-      const std::int32_t num_cells = grid.num_dense_cells();
-      const auto& cells = grid.cells();
-      const auto& perm = grid.permutation();
-      const std::int32_t dense_points = grid.points_in_dense_cells();
-      const auto num_isolated =
-          static_cast<std::int32_t>(st->n) - dense_points;  // outside cells
-      const Parameters params = st->params;
-      const Options& options = st->options;
-      const float eps2 = st->eps2;
-      auto& is_core = st->is_core;
-
-      // --- Preprocessing ---------------------------------------------------
-      // Work accounting: explicit within() scans over dense-cell members
-      // plus every leaf-primitive bounds test (exact for point primitives,
-      // a box-distance test for dense-box primitives) count as distance
-      // computations; internal node tests count as index work. Tallies go
-      // into striped per-thread slots (leaves_tested absorbs the member
-      // scans) — never a shared atomic in the traversal loop.
-      is_core.assign(points.size(), 0);
-      exec::parallel_for("densebox/pre/dense-core", dense_points,
-                         [&](std::int64_t k) {
-        is_core[static_cast<std::size_t>(perm[static_cast<std::size_t>(k)])] =
-            1;
-      });
-      if (params.minpts <= 1) {
-        exec::parallel_for("densebox/pre/all-core", st->n,
-                           [&](std::int64_t i) {
-          is_core[static_cast<std::size_t>(i)] = 1;
-        });
-      } else if (params.minpts > 2) {
-        const auto member_axes = grid.member_axes();
-        exec::parallel_for("densebox/pre/core-count", num_isolated,
-                           [&](std::int64_t k) {
-          const std::int32_t x = isolated_ids[static_cast<std::size_t>(k)];
-          const auto& px = points[static_cast<std::size_t>(x)];
-          std::int32_t count = 0;  // includes x itself (found as a primitive)
-          std::int64_t scans = 0;
-          TraversalStats stats;  // stack-local: increments stay in registers
-          bvh.for_each_near(
-              px, eps2, 0,
-              [&](std::int32_t, std::int32_t pid) {
-                if (pid < num_cells) {
-                  // Lane-group membership scan over the cell's SoA span;
-                  // `scans` advances group-granularly (exec/simd.h), and
-                  // the early stop lands on the same cell as a per-member
-                  // scan would (the threshold is reached at the group
-                  // holding the minpts-th neighbor).
-                  const CellRange& cell = cells[static_cast<std::size_t>(pid)];
-                  count += simd::count_within<DIM>(
-                      member_axes, cell.begin, cell.end, px, eps2,
-                      options.early_exit ? params.minpts - count
-                                         : std::int32_t{0},
-                      scans);
-                  if (options.early_exit && count >= params.minpts) {
-                    return TraversalControl::kTerminate;
-                  }
-                } else {
-                  ++count;  // point primitive: bounds test already was exact
-                  if (options.early_exit && count >= params.minpts) {
-                    return TraversalControl::kTerminate;
-                  }
-                }
-                return TraversalControl::kContinue;
-              },
-              &stats);
-          if (count >= params.minpts) is_core[static_cast<std::size_t>(x)] = 1;
-          stats.leaves_tested += scans;
-          st->work.local() += stats;
-        });
-      }
-      st->timings.preprocessing =
-          st->timer->lap("densebox/pre", &st->timings.preprocessing_profile);
-    }});
-
-    staged.phases.push_back(exec::graph::Phase{"densebox/main", [this, st] {
-      const auto& points = *points_;
-      const GridEntry& entry = *st->grid;
-      const DenseGrid<DIM>& grid = entry.grid;
-      const Bvh<DIM>& bvh = entry.bvh;
-      const std::vector<std::int32_t>& isolated_ids = entry.isolated_ids;
-      const std::int32_t num_cells = grid.num_dense_cells();
-      const auto& cells = grid.cells();
-      const auto& perm = grid.permutation();
-      const auto num_isolated = static_cast<std::int32_t>(
-          isolated_ids.size());
-      const Parameters params = st->params;
-      const Options& options = st->options;
-      const float eps2 = st->eps2;
-      auto& is_core = st->is_core;
-
-      // --- Main phase -------------------------------------------------------
-      st->labels = workspace_.acquire<std::int32_t>(kUnionFind, points.size());
-      init_singletons(st->labels.data(), static_cast<std::int32_t>(st->n));
-      UnionFindView uf(st->labels.data(), static_cast<std::int32_t>(st->n));
-      const bool fof = params.minpts == 2;
-
-      // Union every dense cell internally (all members are one cluster).
-      exec::parallel_for("densebox/main/cell-union", num_cells,
-                         [&](std::int64_t c) {
-        const CellRange& cell = cells[static_cast<std::size_t>(c)];
-        const std::int32_t first = perm[static_cast<std::size_t>(cell.begin)];
-        for (std::int32_t m = cell.begin + 1; m < cell.end; ++m) {
-          uf.merge(first, perm[static_cast<std::size_t>(m)]);
-        }
-      });
-
-      // Cell graph: every dense cell walks the tree with its member
-      // bounds, masked to the leaves after its own, so each pair of
-      // eps-close boxes is visited once, from the cell whose leaf comes
-      // first. One eps-close member pair (members_within, the early-exit
-      // closest-pair test) joins the two cells — both are all core.
-      const auto member_axes = grid.member_axes();
-      exec::parallel_for("densebox/main/cell-pairs", num_cells,
-                         [&](std::int64_t c) {
-        const CellRange& a = cells[static_cast<std::size_t>(c)];
-        const std::int32_t pos = bvh.position_of(static_cast<std::int32_t>(c));
-        const Box<DIM>& a_box = bvh.leaf_bounds(pos);
-        std::int64_t scans = 0;
-        TraversalStats stats;
-        bvh.for_each_near(
-            a_box, eps2, pos + 1,
-            [&](std::int32_t other_pos, std::int32_t pid) {
-              if (pid < num_cells) {
-                const CellRange& b = cells[static_cast<std::size_t>(pid)];
-                if (members_within<DIM>(member_axes, a.begin, a.end, a_box,
-                                        b.begin, b.end,
-                                        bvh.leaf_bounds(other_pos), eps2,
-                                        scans, stats.nodes_visited)) {
-                  uf.merge(perm[static_cast<std::size_t>(a.begin)],
-                           perm[static_cast<std::size_t>(b.begin)]);
-                }
-              }
-              return TraversalControl::kContinue;
-            },
-            &stats);
-        stats.leaves_tested += scans;
-        st->work.local() += stats;
-      });
-
-      // Tree search for the isolated points only, in grid order (the
-      // permutation tail lists them by cell). An isolated point resolves
-      // each of its edges to a dense cell from its own side: it merges
-      // if core, is claimed if not (DBSCAN), and under FoF any eps-close
-      // member makes it core. Dense members therefore never traverse.
-      exec::parallel_for("densebox/main/traverse-union", num_isolated,
-                         [&](std::int64_t k) {
-        const std::int32_t x = isolated_ids[static_cast<std::size_t>(k)];
-        const auto& px = points[static_cast<std::size_t>(x)];
-        // Atomic: in the FoF path other threads set is_core[x] concurrently.
-        const bool xc =
-            exec::atomic_load_relaxed(is_core[static_cast<std::size_t>(x)]) !=
-            0;
-        std::int64_t scans = 0;
-        TraversalStats stats;
-        bvh.for_each_near(
-            px, eps2, 0,
-            [&](std::int32_t, std::int32_t pid) {
-          if (pid < num_cells) {
-            const CellRange& cell = cells[static_cast<std::size_t>(pid)];
-            // One eps-close witness connects x to the whole (core) cell.
-            // The lane-group scan returns the lowest-index witness — the
-            // same member a sequential scan finds — so merge targets are
-            // unchanged; `scans` advances group-granularly (exec/simd.h).
-            const std::int32_t m = simd::first_within<DIM>(
-                member_axes, cell.begin, cell.end, px, eps2, scans);
-            if (m >= 0) {
-              const std::int32_t y = perm[static_cast<std::size_t>(m)];
-              if (fof) {
-                exec::atomic_store_relaxed(
-                    is_core[static_cast<std::size_t>(x)], std::uint8_t{1});
-                uf.merge(x, y);
-              } else if (xc) {
-                uf.merge(x, y);
-              } else if (options.variant == Variant::kDbscan) {
-                uf.claim(x, y);
-              }
-            }
-          } else {
-            const std::int32_t y =
-                isolated_ids[static_cast<std::size_t>(pid - num_cells)];
+    exec::parallel_for("fdbscan/main/traverse-union", n,
+                       [&](std::int64_t pos) {
+      // Threads are assigned sorted leaf positions (not raw ids) so that
+      // neighboring threads touch neighboring memory — the batched, low
+      // data-divergence launch of §3.2. The query point comes from the
+      // sorted leaf array, as in the pre phase.
+      const auto sorted_pos = static_cast<std::int32_t>(pos);
+      const std::int32_t x = bvh.primitive_at(sorted_pos);
+      const Point<DIM>& px = bvh.leaf_bounds(sorted_pos).min;
+      const std::int32_t mask = options.masked_traversal ? sorted_pos + 1 : 0;
+      TraversalStats stats;
+      bvh.for_each_near(
+          px, eps2, mask,
+          [&](std::int32_t, std::int32_t y) {
             if (y != x) {
               if (fof) {
+                // Any eps-close pair consists of two core points (|N| >= 2).
                 exec::atomic_store_relaxed(
                     is_core[static_cast<std::size_t>(x)], std::uint8_t{1});
                 exec::atomic_store_relaxed(
@@ -547,39 +231,247 @@ class Engine {
                 detail::resolve_pair(uf, is_core, x, y, options.variant);
               }
             }
-          }
-          return TraversalControl::kContinue;
+            return TraversalControl::kContinue;
+          },
+          &stats);
+      work.local() += stats;
+    });
+    timings.main = timer.lap("fdbscan/main", &timings.main_profile);
+
+    // --- Finalization -----------------------------------------------------
+    flatten(labels.data(), static_cast<std::int32_t>(n));
+    std::span<std::int32_t> compact =
+        workspace_.acquire<std::int32_t>(kCompact, points.size());
+    Clustering out = detail::finalize_labels_with_scratch(
+        labels.data(), n, std::move(is_core), compact.data());
+    timings.finalization =
+        timer.lap("fdbscan/finalize", &timings.finalization_profile);
+    out.timings = timings;
+    const TraversalStats total_work = work.combine();
+    out.distance_computations = total_work.leaves_tested;
+    out.index_nodes_visited = total_work.nodes_visited;
+    end_run(snap, out, options);
+    return out;
+  }
+
+  /// FDBSCAN-DenseBox (§4.2) over the engine's points. The grid + mixed
+  /// BVH bundle is cached by (eps, cell_width_factor, max(minpts, 1)):
+  /// re-running a cached configuration skips the entire index phase.
+  [[nodiscard]] Clustering run_densebox(const Parameters& params,
+                                        const Options& options = {}) {
+    const auto n = static_cast<std::int64_t>(points_->size());
+    if (n == 0) return {};
+    const auto& points = *points_;
+    const RunSnapshot snap = begin_run();
+    const exec::ScopedCharge charge(  // see run()
+        options.memory,
+        points.size() * (sizeof(std::int32_t) + sizeof(std::uint8_t)));
+    exec::PhaseProfiler timer;
+    PhaseTimings timings;
+    exec::PerThread<TraversalStats> work;
+    const float eps2 = params.eps * params.eps;
+
+    // --- Index: grid + BVH over mixed primitives, cached ------------------
+    // The entry reference stays valid through the run: one run at a time
+    // per engine, and only this phase touches the cache.
+    const GridEntry& entry = ensure_grid(params, options);
+    timings.index_construction =
+        timer.lap("densebox/index", &timings.index_construction_profile);
+    const DenseGrid<DIM>& grid = entry.grid;
+    const Bvh<DIM>& bvh = entry.bvh;
+    const std::vector<std::int32_t>& isolated_ids = entry.isolated_ids;
+    const std::int32_t num_cells = grid.num_dense_cells();
+    const auto& cells = grid.cells();
+    const auto& perm = grid.permutation();
+    const std::int32_t dense_points = grid.points_in_dense_cells();
+    const auto num_isolated =
+        static_cast<std::int32_t>(n) - dense_points;  // outside cells
+    const auto member_axes = grid.member_axes();
+
+    // --- Preprocessing ----------------------------------------------------
+    // Work accounting: explicit within() scans over dense-cell members
+    // plus every leaf-primitive bounds test (exact for point primitives,
+    // a box-distance test for dense-box primitives) count as distance
+    // computations; internal node tests count as index work. Tallies go
+    // into striped per-thread slots (leaves_tested absorbs the member
+    // scans) — never a shared atomic in the traversal loop.
+    std::vector<std::uint8_t> is_core(points.size(), 0);
+    exec::parallel_for("densebox/pre/dense-core", dense_points,
+                       [&](std::int64_t k) {
+      is_core[static_cast<std::size_t>(perm[static_cast<std::size_t>(k)])] = 1;
+    });
+    if (params.minpts <= 1) {
+      exec::parallel_for("densebox/pre/all-core", n, [&](std::int64_t i) {
+        is_core[static_cast<std::size_t>(i)] = 1;
+      });
+    } else if (params.minpts > 2) {
+      exec::parallel_for("densebox/pre/core-count", num_isolated,
+                         [&](std::int64_t k) {
+        const std::int32_t x = isolated_ids[static_cast<std::size_t>(k)];
+        const auto& px = points[static_cast<std::size_t>(x)];
+        std::int32_t count = 0;  // includes x itself (found as a primitive)
+        std::int64_t scans = 0;
+        TraversalStats stats;  // stack-local: increments stay in registers
+        bvh.for_each_near(
+            px, eps2, 0,
+            [&](std::int32_t, std::int32_t pid) {
+              if (pid < num_cells) {
+                // Lane-group membership scan over the cell's SoA span;
+                // `scans` advances group-granularly (exec/simd.h), and
+                // the early stop lands on the same cell as a per-member
+                // scan would (the threshold is reached at the group
+                // holding the minpts-th neighbor).
+                const CellRange& cell = cells[static_cast<std::size_t>(pid)];
+                count += simd::count_within<DIM>(
+                    member_axes, cell.begin, cell.end, px, eps2,
+                    options.early_exit ? params.minpts - count
+                                       : std::int32_t{0},
+                    scans);
+                if (options.early_exit && count >= params.minpts) {
+                  return TraversalControl::kTerminate;
+                }
+              } else {
+                ++count;  // point primitive: bounds test already was exact
+                if (options.early_exit && count >= params.minpts) {
+                  return TraversalControl::kTerminate;
+                }
+              }
+              return TraversalControl::kContinue;
             },
             &stats);
+        if (count >= params.minpts) is_core[static_cast<std::size_t>(x)] = 1;
         stats.leaves_tested += scans;
-        st->work.local() += stats;
+        work.local() += stats;
       });
-      st->timings.main =
-          st->timer->lap("densebox/main", &st->timings.main_profile);
-    }});
+    }
+    timings.preprocessing =
+        timer.lap("densebox/pre", &timings.preprocessing_profile);
 
-    staged.phases.push_back(exec::graph::Phase{
-        "densebox/finalize", [this, st, result = staged.result] {
-      // --- Finalization ---------------------------------------------------
-      flatten(st->labels.data(), static_cast<std::int32_t>(st->n));
-      std::span<std::int32_t> compact =
-          workspace_.acquire<std::int32_t>(kCompact, points_->size());
-      Clustering out = detail::finalize_labels_with_scratch(
-          st->labels.data(), st->n, std::move(st->is_core), compact.data());
-      st->timings.finalization = st->timer->lap(
-          "densebox/finalize", &st->timings.finalization_profile);
-      out.timings = st->timings;
-      const DenseGrid<DIM>& grid = st->grid->grid;
-      out.num_dense_cells = grid.num_dense_cells();
-      out.points_in_dense_cells = grid.points_in_dense_cells();
-      const TraversalStats total_work = st->work.combine();
-      out.distance_computations = total_work.leaves_tested;
-      out.index_nodes_visited = total_work.nodes_visited;
-      end_run(st->snap, out, st->options);
-      st->charge.reset();  // see stage(): tracker must be idle once published
-      *result = std::move(out);
-    }});
-    return staged;
+    // --- Main phase -------------------------------------------------------
+    std::span<std::int32_t> labels =
+        workspace_.acquire<std::int32_t>(kUnionFind, points.size());
+    init_singletons(labels.data(), static_cast<std::int32_t>(n));
+    UnionFindView uf(labels.data(), static_cast<std::int32_t>(n));
+    const bool fof = params.minpts == 2;
+
+    // Union every dense cell internally (all members are one cluster).
+    exec::parallel_for("densebox/main/cell-union", num_cells,
+                       [&](std::int64_t c) {
+      const CellRange& cell = cells[static_cast<std::size_t>(c)];
+      const std::int32_t first = perm[static_cast<std::size_t>(cell.begin)];
+      for (std::int32_t m = cell.begin + 1; m < cell.end; ++m) {
+        uf.merge(first, perm[static_cast<std::size_t>(m)]);
+      }
+    });
+
+    // Cell graph: every dense cell walks the tree with its member
+    // bounds, masked to the leaves after its own, so each pair of
+    // eps-close boxes is visited once, from the cell whose leaf comes
+    // first. One eps-close member pair (members_within, the early-exit
+    // closest-pair test) joins the two cells — both are all core.
+    exec::parallel_for("densebox/main/cell-pairs", num_cells,
+                       [&](std::int64_t c) {
+      const CellRange& a = cells[static_cast<std::size_t>(c)];
+      const std::int32_t pos = bvh.position_of(static_cast<std::int32_t>(c));
+      const Box<DIM>& a_box = bvh.leaf_bounds(pos);
+      std::int64_t scans = 0;
+      TraversalStats stats;
+      bvh.for_each_near(
+          a_box, eps2, pos + 1,
+          [&](std::int32_t other_pos, std::int32_t pid) {
+            if (pid < num_cells) {
+              const CellRange& b = cells[static_cast<std::size_t>(pid)];
+              if (members_within<DIM>(member_axes, a.begin, a.end, a_box,
+                                      b.begin, b.end,
+                                      bvh.leaf_bounds(other_pos), eps2,
+                                      scans, stats.nodes_visited)) {
+                uf.merge(perm[static_cast<std::size_t>(a.begin)],
+                         perm[static_cast<std::size_t>(b.begin)]);
+              }
+            }
+            return TraversalControl::kContinue;
+          },
+          &stats);
+      stats.leaves_tested += scans;
+      work.local() += stats;
+    });
+
+    // Tree search for the isolated points only, in grid order (the
+    // permutation tail lists them by cell). An isolated point resolves
+    // each of its edges to a dense cell from its own side: it merges
+    // if core, is claimed if not (DBSCAN), and under FoF any eps-close
+    // member makes it core. Dense members therefore never traverse.
+    exec::parallel_for("densebox/main/traverse-union", num_isolated,
+                       [&](std::int64_t k) {
+      const std::int32_t x = isolated_ids[static_cast<std::size_t>(k)];
+      const auto& px = points[static_cast<std::size_t>(x)];
+      // Atomic: in the FoF path other threads set is_core[x] concurrently.
+      const bool xc =
+          exec::atomic_load_relaxed(is_core[static_cast<std::size_t>(x)]) != 0;
+      std::int64_t scans = 0;
+      TraversalStats stats;
+      bvh.for_each_near(
+          px, eps2, 0,
+          [&](std::int32_t, std::int32_t pid) {
+        if (pid < num_cells) {
+          const CellRange& cell = cells[static_cast<std::size_t>(pid)];
+          // One eps-close witness connects x to the whole (core) cell.
+          // The lane-group scan returns the lowest-index witness — the
+          // same member a sequential scan finds — so merge targets are
+          // unchanged; `scans` advances group-granularly (exec/simd.h).
+          const std::int32_t m = simd::first_within<DIM>(
+              member_axes, cell.begin, cell.end, px, eps2, scans);
+          if (m >= 0) {
+            const std::int32_t y = perm[static_cast<std::size_t>(m)];
+            if (fof) {
+              exec::atomic_store_relaxed(
+                  is_core[static_cast<std::size_t>(x)], std::uint8_t{1});
+              uf.merge(x, y);
+            } else if (xc) {
+              uf.merge(x, y);
+            } else if (options.variant == Variant::kDbscan) {
+              uf.claim(x, y);
+            }
+          }
+        } else {
+          const std::int32_t y =
+              isolated_ids[static_cast<std::size_t>(pid - num_cells)];
+          if (y != x) {
+            if (fof) {
+              exec::atomic_store_relaxed(
+                  is_core[static_cast<std::size_t>(x)], std::uint8_t{1});
+              exec::atomic_store_relaxed(
+                  is_core[static_cast<std::size_t>(y)], std::uint8_t{1});
+              uf.merge(x, y);
+            } else {
+              detail::resolve_pair(uf, is_core, x, y, options.variant);
+            }
+          }
+        }
+        return TraversalControl::kContinue;
+          },
+          &stats);
+      stats.leaves_tested += scans;
+      work.local() += stats;
+    });
+    timings.main = timer.lap("densebox/main", &timings.main_profile);
+
+    // --- Finalization -----------------------------------------------------
+    flatten(labels.data(), static_cast<std::int32_t>(n));
+    std::span<std::int32_t> compact =
+        workspace_.acquire<std::int32_t>(kCompact, points.size());
+    Clustering out = detail::finalize_labels_with_scratch(
+        labels.data(), n, std::move(is_core), compact.data());
+    timings.finalization =
+        timer.lap("densebox/finalize", &timings.finalization_profile);
+    out.timings = timings;
+    out.num_dense_cells = grid.num_dense_cells();
+    out.points_in_dense_cells = grid.points_in_dense_cells();
+    const TraversalStats total_work = work.combine();
+    out.distance_computations = total_work.leaves_tested;
+    out.index_nodes_visited = total_work.nodes_visited;
+    end_run(snap, out, options);
+    return out;
   }
 
   /// Batched sweep: one clustering per parameter set, in order, sharing
@@ -618,25 +510,6 @@ class Engine {
     std::int64_t index_builds;
     std::int64_t grid_cache_hits;
     std::int64_t workspace_reallocs;
-  };
-
-  /// Everything a staged run carries between its phases. Owned by a
-  /// shared_ptr captured in every phase closure; destroyed with the
-  /// StagedRun after the finalize phase has moved the result out.
-  struct StageState {
-    Parameters params;
-    Options options;
-    std::int64_t n = 0;
-    float eps2 = 0.0f;
-    RunSnapshot snap{};
-    std::optional<exec::ScopedCharge> charge;  // released with the state
-    std::optional<exec::PhaseProfiler> timer;  // starts in the index phase
-    PhaseTimings timings;
-    exec::PerThread<TraversalStats> work;
-    std::vector<std::uint8_t> is_core;
-    std::span<std::int32_t> labels;      // workspace slot, set by main
-    const Bvh<DIM>* bvh = nullptr;       // fdbscan index
-    const GridEntry* grid = nullptr;     // densebox index bundle
   };
 
   RunSnapshot begin_run() {

@@ -35,7 +35,6 @@ enum class ErrorCode : std::uint8_t {
   kTokenBusy,               ///< CancelToken already bound to an in-flight request
   kInvalidSession,          ///< session unknown, closed, or failed to open
   kSessionLimit,            ///< open-session table at capacity
-  kGraphCycle,              ///< task graph contains a dependency cycle
 };
 
 [[nodiscard]] constexpr const char* error_code_name(ErrorCode code) noexcept {
@@ -52,7 +51,6 @@ enum class ErrorCode : std::uint8_t {
     case ErrorCode::kTokenBusy: return "TokenBusy";
     case ErrorCode::kInvalidSession: return "InvalidSession";
     case ErrorCode::kSessionLimit: return "SessionLimit";
-    case ErrorCode::kGraphCycle: return "GraphCycle";
   }
   return "UnknownError";
 }

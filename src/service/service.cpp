@@ -11,7 +11,6 @@
 #include <set>
 #include <string>
 
-#include "exec/graph/task_graph.h"
 #include "exec/trace.h"
 #include "obs/log.h"
 
@@ -727,16 +726,6 @@ ServiceMetrics ClusterService::metrics() const {
   m.session_queries = session_queries_.load(std::memory_order_relaxed);
   m.session_rebuilds = session_rebuilds_.load(std::memory_order_relaxed);
   {
-    // Scheduler totals are process-wide (all services share it); see the
-    // ServiceMetrics field docs.
-    const exec::graph::SchedulerTotals g = exec::graph::totals();
-    m.graphs = g.graphs;
-    m.graph_nodes_run = g.nodes_run;
-    m.graph_edges = g.edges;
-    m.graph_ready_depth = g.ready_depth;
-    m.graph_overlap_pct = g.overlap_pct;
-  }
-  {
     std::lock_guard<std::mutex> lock(queue_mutex_);
     m.queued = static_cast<std::int64_t>(queue_.size());
     m.active = active_;
@@ -778,9 +767,6 @@ obs::MetricsSnapshot to_metrics(const ServiceSnapshot& snap) {
   obs::MetricsSnapshot m;
   const ServiceMetrics& sm = snap.metrics;
   m.counters = {
-      {"fdbscan_graph_edges_total", sm.graph_edges},
-      {"fdbscan_graph_graphs_total", sm.graphs},
-      {"fdbscan_graph_nodes_run_total", sm.graph_nodes_run},
       {"fdbscan_pool_evictions_total", snap.pool.evictions},
       {"fdbscan_pool_hits_total", snap.pool.hits},
       {"fdbscan_pool_misses_total", snap.pool.misses},
@@ -797,8 +783,6 @@ obs::MetricsSnapshot to_metrics(const ServiceSnapshot& snap) {
       {"fdbscan_service_submitted_total", sm.submitted},
   };
   m.gauges = {
-      {"fdbscan_graph_overlap_pct", sm.graph_overlap_pct},
-      {"fdbscan_graph_ready_depth", sm.graph_ready_depth},
       {"fdbscan_pool_engines", snap.pool.engines},
       {"fdbscan_service_active_requests", sm.active},
       {"fdbscan_service_queue_depth", sm.queued},

@@ -38,10 +38,9 @@
 //
 // Dispatch: every request runs on the dispatcher that dequeued it —
 // engine lease, one-time scan, then the run's phases in sequence
-// (fork-join). Sharded requests are the one place a request's phases
-// become a task graph: ShardedEngine stages its per-shard chains on the
-// shared scheduler when exec::graph::enabled() (DESIGN.md §15), and the
-// dispatcher blocks on that graph like on any other run.
+// (fork-join). A sharded request's dispatcher coordinates its
+// ShardedEngine's barrier waves (DESIGN.md §11) and blocks on them like
+// on any other run.
 //
 // Knobs: FDBSCAN_SERVICE_QUEUE_CAP, FDBSCAN_SERVICE_DISPATCHERS,
 // FDBSCAN_SERVICE_SHARDS, FDBSCAN_SERVICE_SESSION_CAP and
@@ -112,9 +111,9 @@ struct ServiceConfig {
   /// growth); after an expiry the next query's recluster builds it.
   /// Env: FDBSCAN_SESSION_REBUILD_PCT.
   std::int32_t session_rebuild_pct = 25;
-  /// Requests always run fork-join on their dispatcher; there is no
-  /// graph dispatch to select. A constant, not a setting, kept so run
-  /// reports that record the dispatch mode still read it.
+  /// Always false: requests run fork-join on their dispatcher and there
+  /// is no graph dispatch. Kept only because perfbench's `service_graph`
+  /// run fact reads it.
   static constexpr bool graph = false;
 
   /// Defaults overridden by the FDBSCAN_SERVICE_* environment knobs.
@@ -160,15 +159,6 @@ struct ServiceMetrics {
   std::int64_t session_expires = 0;    ///< expire operations completed
   std::int64_t session_queries = 0;    ///< query operations completed
   std::int64_t session_rebuilds = 0;   ///< index rebuilds across sessions
-  /// Task-graph runtime totals (exec/graph). Process-wide: every service
-  /// (and direct ShardedEngine use) shares the one scheduler, so these
-  /// are mirrors of the fdbscan_graph_* registry metrics, not per-
-  /// service counts.
-  std::int64_t graphs = 0;             ///< graphs submitted to the scheduler
-  std::int64_t graph_nodes_run = 0;    ///< node bodies executed
-  std::int64_t graph_edges = 0;        ///< dependency edges scheduled
-  std::int64_t graph_ready_depth = 0;  ///< instantaneous ready-queue depth
-  std::int64_t graph_overlap_pct = 0;  ///< busy/wall of last completed graph
   LatencySummary queue_wait;           ///< submit -> dispatch
   LatencySummary run_time;             ///< dispatch -> future resolved
 };

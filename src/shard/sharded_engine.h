@@ -10,7 +10,7 @@
 // eps-halo (ghost copies of every remote point within eps of the slab —
 // exactly the set needed to answer any eps-range query about an owned
 // point locally), and keeps one warm Engine per shard so repeated runs
-// at the same eps rebuild nothing. A fork-join run executes three
+// at the same eps rebuild nothing. A run executes three
 // barrier-separated waves, each wave running all K shards
 // *concurrently*: every shard is driven by its own persistent team
 // thread, whose kernel launches are independent top-level launches on the
@@ -23,17 +23,12 @@
 //   wave 3  per-shard traversal + global union-find  (main)
 //   coordinator: flatten + finalize           (finalization)
 //
-// In graph mode (exec/graph; on unless exec::graph::enabled() says
-// otherwise — FDBSCAN_SERVICE_GRAPH=0 selects the waves) the same
-// per-shard bodies become task-graph nodes
-// and the barriers become edges: index[r] -> pre[r] -> main[r] chains
-// per shard, with pre[s] -> main[r] for every (s, r) pair standing in
-// for the ghost core-flag exchange (main reads ghost flags other shards
-// wrote). Shard r's traversal can therefore start before shard r+1's
-// build finishes — on the FoF fast path (no pre wave) each shard
-// pipelines fully independently — and nodes of *different* requests
-// interleave on the shared runner pool. The kernel launches are the
-// same set either way, so work counters stay bit-identical.
+// The FoF fast path (minpts == 2) skips wave 2. The barriers are the
+// whole schedule. Finer per-shard dependencies would let shard r start
+// traversing before shard r+1 finishes building, but top-level kernels
+// serialize on the pool launch mutex, so only the serial glue between
+// kernels could overlap; DESIGN.md §11 measures that as no gain. The
+// barriers also let each phase snapshot the process kernel profile.
 //
 // Cross-shard density connections resolve through a single global
 // union-find over a shared label array: each eps-close pair is processed
@@ -54,7 +49,6 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <exception>
@@ -72,7 +66,6 @@
 #include "core/clustering.h"
 #include "core/engine.h"
 #include "exec/cancel.h"
-#include "exec/graph/task_graph.h"
 #include "exec/per_thread.h"
 #include "exec/profile.h"
 #include "exec/trace.h"
@@ -279,33 +272,11 @@ class ShardedEngine {
   /// BVHs are cached, so repeated runs at the same eps rebuild nothing.
   /// Note: the pair-once rule replaces the masked-traversal optimization
   /// (it needs global-id order, not leaf order), so
-  /// options.masked_traversal is ignored on this path. Runs as a task
-  /// graph or as the fork-join waves per exec::graph::enabled() (the
-  /// FDBSCAN_SERVICE_GRAPH knob); work counters are bit-identical
-  /// between the two. ClusterService's sharded requests come through
-  /// here, so this is the one service path that reaches the graph
-  /// runtime.
+  /// options.masked_traversal is ignored on this path. Runs the barrier
+  /// waves of the header comment; ClusterService's sharded requests come
+  /// through here.
   [[nodiscard]] ShardedResult run(const Parameters& params,
                                   const Options& options = {}) {
-    return run(params, options, exec::graph::enabled());
-  }
-
-  /// Same, with the mode picked explicitly (equivalence tests sweep it).
-  [[nodiscard]] ShardedResult run(const Parameters& params,
-                                  const Options& options, bool graph) {
-    if (graph && num_shards_ > 1) {
-      exec::graph::TaskGraph g;
-      auto out = std::make_shared<ShardedResult>();
-      stage(g, params, options, out);
-      const Expected<exec::graph::GraphStats> done =
-          exec::graph::shared_scheduler().run(std::move(g));
-      if (!done.has_value()) {
-        // Unreachable: stage() emits a DAG by construction. Surface it
-        // loudly rather than return a half-written result.
-        throw std::logic_error(done.error().message);
-      }
-      return std::move(*out);
-    }
     const auto n = static_cast<std::int64_t>(points_->size());
     ShardedResult result;
     result.shards.resize(static_cast<std::size_t>(num_shards_));
@@ -454,229 +425,6 @@ class ShardedEngine {
     return result;
   }
 
-  /// Append this run to `g` as dependency-edged per-shard nodes (the
-  /// graph shape in the header comment); the finalize node writes the
-  /// merged result into *out. Returns the finalize node's id so callers
-  /// can chain further work after it. Counts as a run: the cancel
-  /// fast-fail and the eps-plan build happen here on the staging thread,
-  /// exactly where the fork-join path does them before wave 1.
-  exec::graph::NodeId stage(exec::graph::TaskGraph& g,
-                            const Parameters& params, const Options& options,
-                            std::shared_ptr<ShardedResult> out) {
-    const auto n = static_cast<std::int64_t>(points_->size());
-    out->shards.resize(static_cast<std::size_t>(num_shards_));
-    if (n == 0) return g.add_node("shard/finalize", [] {});
-    exec::throw_if_cancelled();
-    ++counters_.runs;
-    detail::shard_metrics().runs.inc();
-
-    auto st = std::make_shared<GraphState>();
-    st->params = params;
-    st->options = options;
-    st->eps2 = params.eps * params.eps;
-    st->n = n;
-    st->ws0 = workspace_.reallocs();
-    st->plan = &ensure_plan(params.eps);
-    st->fof = params.minpts == 2;  // Friends-of-Friends fast path
-    for (const auto& s : st->plan->shards) {
-      if (s.engine && !s.engine->index_built()) ++st->rebuilds;
-    }
-    st->is_core.assign(points_->size(), 0);
-    st->shard_work.resize(static_cast<std::size_t>(num_shards_));
-    st->shard_cross.assign(static_cast<std::size_t>(num_shards_), 0);
-    // Logical wave tally for the dashboards: the graph replaces the wave
-    // barriers with edges but still executes the same two or three waves.
-    detail::shard_metrics().waves.inc(st->fof ? 2 : 3);
-
-    std::vector<exec::graph::NodeId> index_ids(
-        static_cast<std::size_t>(num_shards_), exec::graph::kNoNode);
-    std::vector<exec::graph::NodeId> pre_ids;
-    std::vector<exec::graph::NodeId> main_ids(
-        static_cast<std::size_t>(num_shards_), exec::graph::kNoNode);
-
-    // --- index[r]: per-shard BVH build/reuse (wave 1's body) -------------
-    for (std::int32_t r = 0; r < num_shards_; ++r) {
-      index_ids[static_cast<std::size_t>(r)] = g.add_node(
-          "shard/index[" + std::to_string(r) + "]", [this, st, r] {
-            const std::int64_t t0 = exec::trace_now_ns();
-            Shard& s = st->plan->shards[static_cast<std::size_t>(r)];
-            if (s.engine) (void)s.engine->index();
-            st->index_ns.fetch_add(exec::trace_now_ns() - t0,
-                                   std::memory_order_relaxed);
-          });
-    }
-
-    // --- pre[r]: per-shard core determination (wave 2's body) ------------
-    // Each shard writes only its owned points' flags; main[r] reads ghost
-    // flags other shards wrote, so every pre -> every main edge below is
-    // the ghost core-flag exchange the fork-join barrier stands in for.
-    if (!st->fof) {
-      pre_ids.resize(static_cast<std::size_t>(num_shards_),
-                     exec::graph::kNoNode);
-      for (std::int32_t r = 0; r < num_shards_; ++r) {
-        pre_ids[static_cast<std::size_t>(r)] = g.add_node(
-            "shard/pre[" + std::to_string(r) + "]", [this, st, r] {
-              const std::int64_t t0 = exec::trace_now_ns();
-              Shard& s = st->plan->shards[static_cast<std::size_t>(r)];
-              const Parameters params = st->params;
-              const Options& options = st->options;
-              const float eps2 = st->eps2;
-              auto& is_core = st->is_core;
-              if (s.owned > 0) {
-                if (params.minpts <= 1) {
-                  exec::parallel_for("shard/pre/all-core", s.owned,
-                                     [&](std::int64_t k) {
-                    is_core[static_cast<std::size_t>(
-                        s.ids[static_cast<std::size_t>(k)])] = 1;
-                  });
-                } else {
-                  st->shard_work[static_cast<std::size_t>(r)] +=
-                      count_cores(s, params, options, eps2, is_core);
-                }
-              }
-              st->pre_ns.fetch_add(exec::trace_now_ns() - t0,
-                                   std::memory_order_relaxed);
-            });
-        g.add_edge(index_ids[static_cast<std::size_t>(r)],
-                   pre_ids[static_cast<std::size_t>(r)]);
-      }
-    }
-
-    // --- init: global union-find singletons (coordinator work) -----------
-    const exec::graph::NodeId init_id =
-        g.add_node("shard/main/init", [this, st] {
-          st->labels =
-              workspace_.acquire<std::int32_t>(kUnionFind, points_->size());
-          init_singletons(st->labels.data(),
-                          static_cast<std::int32_t>(st->n));
-        });
-
-    // --- main[r]: per-shard traversal + global union-find (wave 3) ------
-    for (std::int32_t r = 0; r < num_shards_; ++r) {
-      main_ids[static_cast<std::size_t>(r)] = g.add_node(
-          "shard/main[" + std::to_string(r) + "]", [this, st, r] {
-            const std::int64_t t0 = exec::trace_now_ns();
-            Shard& s = st->plan->shards[static_cast<std::size_t>(r)];
-            const Options& options = st->options;
-            const float eps2 = st->eps2;
-            const bool fof = st->fof;
-            auto& is_core = st->is_core;
-            if (s.owned > 0) {
-              const Bvh<DIM>& bvh = s.engine->index();
-              UnionFindView uf(st->labels.data(),
-                               static_cast<std::int32_t>(st->n));
-              exec::PerThread<TraversalStats> work;
-              exec::PerThread<std::int64_t> cross;
-              exec::parallel_for("shard/main/traverse-union", s.owned,
-                                 [&](std::int64_t k) {
-                const std::int32_t x = s.ids[static_cast<std::size_t>(k)];
-                const auto& p = s.local_points[static_cast<std::size_t>(k)];
-                std::int64_t local_cross = 0;
-                TraversalStats stats;
-                bvh.for_each_near(
-                    p, eps2, 0,
-                    [&](std::int32_t, std::int32_t local_y) {
-                      const std::int32_t y =
-                          s.ids[static_cast<std::size_t>(local_y)];
-                      if (y > x) {
-                        if (local_y >= s.owned) ++local_cross;  // ghost
-                        if (fof) {
-                          exec::atomic_store_relaxed(
-                              is_core[static_cast<std::size_t>(x)],
-                              std::uint8_t{1});
-                          exec::atomic_store_relaxed(
-                              is_core[static_cast<std::size_t>(y)],
-                              std::uint8_t{1});
-                          uf.merge(x, y);
-                        } else {
-                          fdbscan::detail::resolve_pair(uf, is_core, x, y,
-                                                        options.variant);
-                        }
-                      }
-                      return TraversalControl::kContinue;
-                    },
-                    &stats);
-                work.local() += stats;
-                if (local_cross > 0) cross.local() += local_cross;
-              });
-              st->shard_work[static_cast<std::size_t>(r)] += work.combine();
-              st->shard_cross[static_cast<std::size_t>(r)] = cross.combine();
-            }
-            st->main_ns.fetch_add(exec::trace_now_ns() - t0,
-                                  std::memory_order_relaxed);
-          });
-      g.add_edge(index_ids[static_cast<std::size_t>(r)],
-                 main_ids[static_cast<std::size_t>(r)]);
-      g.add_edge(init_id, main_ids[static_cast<std::size_t>(r)]);
-      for (const exec::graph::NodeId pre : pre_ids) {
-        g.add_edge(pre, main_ids[static_cast<std::size_t>(r)]);
-      }
-    }
-
-    // --- finalize: global flatten + relabel + stats (coordinator) --------
-    const exec::graph::NodeId finalize_id =
-        g.add_node("shard/finalize", [this, st, out] {
-          const std::int64_t t0 = exec::trace_now_ns();
-          flatten(st->labels.data(), static_cast<std::int32_t>(st->n));
-          std::span<std::int32_t> compact =
-              workspace_.acquire<std::int32_t>(kCompact, points_->size());
-          out->clustering = fdbscan::detail::finalize_labels_with_scratch(
-              st->labels.data(), st->n, std::move(st->is_core),
-              compact.data());
-
-          // Phase seconds are per-shard node busy sums — they can exceed
-          // the graph's wall clock when shards overlap (stream-style
-          // accounting). The per-phase kernel profiles need the barrier
-          // snapshots the graph removes, so they stay zero here.
-          PhaseTimings timings;
-          timings.index_construction =
-              static_cast<double>(
-                  st->index_ns.load(std::memory_order_relaxed)) *
-              1e-9;
-          timings.preprocessing =
-              static_cast<double>(st->pre_ns.load(std::memory_order_relaxed)) *
-              1e-9;
-          timings.main =
-              static_cast<double>(
-                  st->main_ns.load(std::memory_order_relaxed)) *
-              1e-9;
-          counters_.index_builds += st->rebuilds;
-          counters_.workspace_reallocs = workspace_.reallocs();
-          timings.engine_run = true;
-          timings.index_rebuilds = st->rebuilds;
-          timings.workspace_reallocs =
-              static_cast<std::int32_t>(workspace_.reallocs() - st->ws0);
-
-          TraversalStats total_work;
-          for (const auto& w : st->shard_work) total_work += w;
-          out->clustering.distance_computations = total_work.leaves_tested;
-          out->clustering.index_nodes_visited = total_work.nodes_visited;
-
-          out->clustering.num_shards = num_shards_;
-          std::int64_t cross_total = 0;
-          for (std::int32_t r = 0; r < num_shards_; ++r) {
-            const Shard& s = st->plan->shards[static_cast<std::size_t>(r)];
-            ShardStats& stats = out->shards[static_cast<std::size_t>(r)];
-            stats.owned = s.owned;
-            stats.ghosts = static_cast<std::int32_t>(s.ids.size()) - s.owned;
-            stats.cross_edges = st->shard_cross[static_cast<std::size_t>(r)];
-            stats.halo_bytes =
-                static_cast<std::int64_t>(stats.ghosts) * kBytesPerGhost;
-            out->clustering.shard_ghosts += stats.ghosts;
-            out->clustering.shard_halo_bytes += stats.halo_bytes;
-            cross_total += stats.cross_edges;
-          }
-          out->clustering.shard_cross_edges = cross_total;
-          timings.finalization =
-              static_cast<double>(exec::trace_now_ns() - t0) * 1e-9;
-          out->clustering.timings = timings;
-        });
-    for (const exec::graph::NodeId main : main_ids) {
-      g.add_edge(main, finalize_id);
-    }
-    return finalize_id;
-  }
-
  private:
   // Workspace slots: global union-find parents + finalization ranks.
   enum Slot : int { kUnionFind = 0, kCompact, kNumSlots };
@@ -711,7 +459,7 @@ class ShardedEngine {
 
   static constexpr std::int32_t kPlanCapacity = 2;
 
-  /// Per-shard core determination (wave 2 / pre[r]): sets the core flags
+  /// Per-shard core determination (wave 2): sets the core flags
   /// of the shard's owned points and returns the traversal work. Launched
   /// over the shard index's sorted leaf positions — the §3.2 batched
   /// launch, as in Engine's pre phase — with the query point read from
@@ -746,30 +494,6 @@ class ShardedEngine {
     });
     return work.combine();
   }
-
-  /// Shared state of one staged (graph-mode) run, owned jointly by the
-  /// run's nodes. The atomics accumulate per-shard node busy time into
-  /// the phase timings — the process-global PhaseProfiler would need the
-  /// barrier snapshots the graph removes. The Plan pointer is stable:
-  /// one run at a time, and plans only leave the cache in ensure_plan,
-  /// which stage() calls before any node is queued.
-  struct GraphState {
-    Parameters params;
-    Options options;
-    float eps2 = 0.0f;
-    std::int64_t n = 0;
-    std::int64_t ws0 = 0;
-    std::int32_t rebuilds = 0;
-    Plan* plan = nullptr;
-    bool fof = false;
-    std::vector<std::uint8_t> is_core;
-    std::vector<TraversalStats> shard_work;
-    std::vector<std::int64_t> shard_cross;
-    std::span<std::int32_t> labels;
-    std::atomic<std::int64_t> index_ns{0};
-    std::atomic<std::int64_t> pre_ns{0};
-    std::atomic<std::int64_t> main_ns{0};
-  };
 
   /// Runs fn(r) for every shard: concurrently on the team when K > 1
   /// (re-installing the coordinator's active token on every member for

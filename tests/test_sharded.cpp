@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -89,24 +90,33 @@ TEST(Sharded, AgreesWithSingleEngineAcrossWorkerAndShardCounts) {
 }
 
 // Work counters on the sharded path are real (non-zero) and, like the
-// single-engine ones, invariant to the worker count.
+// single-engine ones, invariant to the worker count — as are the core
+// flags and the cluster count. minpts 2 takes the FoF path, which skips
+// the preprocessing wave.
 TEST(Sharded, WorkCountersReportedAndWorkerInvariant) {
   auto points = testing::clustered_points<2>(2000, 5, 1.0f, 0.02f, 612);
-  const Parameters params{0.03f, 10};
-  std::int64_t dist_comps = -1;
-  std::int64_t nodes_visited = -1;
-  for (int workers : {1, 8}) {
-    testing::ScopedThreads threads(workers);
-    ShardedEngine<2> engine(points, 3);
-    const auto result = engine.run(params);
-    EXPECT_GT(result.clustering.distance_computations, 0);
-    EXPECT_GT(result.clustering.index_nodes_visited, 0);
-    if (dist_comps < 0) {
-      dist_comps = result.clustering.distance_computations;
-      nodes_visited = result.clustering.index_nodes_visited;
-    } else {
-      EXPECT_EQ(result.clustering.distance_computations, dist_comps);
-      EXPECT_EQ(result.clustering.index_nodes_visited, nodes_visited);
+  for (std::int32_t minpts : {10, 2}) {
+    const Parameters params{0.03f, minpts};
+    std::optional<Clustering> first;
+    for (int workers : {1, 2, 8}) {
+      testing::ScopedThreads threads(workers);
+      ShardedEngine<2> engine(points, 3);
+      const auto result = engine.run(params);
+      const Clustering& c = result.clustering;
+      EXPECT_GT(c.distance_computations, 0);
+      EXPECT_GT(c.index_nodes_visited, 0);
+      if (!first) {
+        first = c;
+        continue;
+      }
+      EXPECT_EQ(c.distance_computations, first->distance_computations)
+          << "minpts=" << minpts << " workers=" << workers;
+      EXPECT_EQ(c.index_nodes_visited, first->index_nodes_visited)
+          << "minpts=" << minpts << " workers=" << workers;
+      EXPECT_EQ(c.is_core, first->is_core)
+          << "minpts=" << minpts << " workers=" << workers;
+      EXPECT_EQ(c.num_clusters, first->num_clusters)
+          << "minpts=" << minpts << " workers=" << workers;
     }
   }
 }
@@ -156,6 +166,12 @@ TEST(Sharded, CrossShardClustersAreStitched) {
   EXPECT_EQ(result.clustering.num_clusters, 1);
   EXPECT_GT(result.clustering.shard_cross_edges, 0);
   EXPECT_GT(result.clustering.shard_halo_bytes, 0);
+  // Each wave is barrier-bounded, so its kernel profile is the launches
+  // of that phase alone.
+  const PhaseTimings& t = result.clustering.timings;
+  EXPECT_GT(t.index_construction_profile.launches, 0);
+  EXPECT_GT(t.preprocessing_profile.launches, 0);
+  EXPECT_GT(t.main_profile.launches, 0);
 }
 
 // Heavy coordinate duplicates defeat even balanced cuts: two blobs at

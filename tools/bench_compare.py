@@ -43,12 +43,6 @@ Usage:
                        service's own atomics are fed the same integers);
                        zero such entries or zero shared keys fails — a
                        vacuous match is a broken gate
-  bench_compare.py --gate-graph FILE [...]         check the task-graph
-                       runtime contract (DESIGN.md §15) over entries
-                       carrying graph counters: zero graph-vs-waves
-                       equivalence failures for sharded requests across
-                       the worker sweep, with multi-shard runs present
-                       so the gate cannot pass vacuously
   bench_compare.py --gate-simd SCALAR.json SIMD.json
                        check that the vectorized backend does not lose to
                        the scalar one: over name-matched fdbscan /
@@ -469,53 +463,6 @@ def gate_stream(doc, path):
     return violations, checked
 
 
-def gate_graph(doc, path):
-    """Single-file gate over the task-graph runtime contract (DESIGN.md
-    §15), applied to entries carrying graph counters (the
-    graph_equivalence entry of service_throughput, which runs the
-    service's 2-shard requests with exec::graph enabled and disabled):
-
-      * graph_equiv_checked > 0 and graph_equiv_failures == 0: the
-        graph-staged sharded run produced bit-identical core flags,
-        cluster counts and work counters to the barrier waves at every
-        swept worker count;
-      * graph_sharded_runs > 0: the graph runs really took the
-        multi-shard path (a single-shard run stages no graph, so a pass
-        without one would be vacuous).
-
-    Zero matching entries is itself a violation: a gate that never
-    fires is indistinguishable from a broken one."""
-    violations = []
-    checked = 0
-    for e in doc["entries"]:
-        if e.get("error"):
-            continue
-        name, counters = e["name"], e["counters"]
-        if "graph_equiv_checked" in counters:
-            checked += 1
-            if counters["graph_equiv_checked"] <= 0:
-                violations.append(
-                    f"{name}: graph_equiv_checked="
-                    f"{counters['graph_equiv_checked']:g} — the equivalence "
-                    "sweep ran no configurations")
-            if counters.get("graph_equiv_failures", -1) != 0:
-                violations.append(
-                    f"{name}: graph_equiv_failures="
-                    f"{counters.get('graph_equiv_failures')!r} — graph "
-                    "staging diverged from the barrier-wave reference")
-            if counters.get("graph_sharded_runs", 0) <= 0:
-                violations.append(
-                    f"{name}: graph_sharded_runs="
-                    f"{counters.get('graph_sharded_runs', 0):g} — the "
-                    "sharded path went unchecked")
-    if checked == 0:
-        violations.append(
-            f"{path}: no entries carry graph counters — the graph gate is "
-            "vacuous (did service_throughput drop its graph_equivalence "
-            "entry?)")
-    return violations, checked
-
-
 def gate_simd(scalar_doc, simd_doc):
     """Two-file gate: the vectorized backend must not lose to the scalar
     one on the traversal-dominated phases. Over name-matched, non-errored
@@ -664,11 +611,6 @@ def main(argv):
                              "session contract over entries carrying a "
                              "stream_equiv_checked counter (DESIGN.md "
                              "§14)")
-    parser.add_argument("--gate-graph", action="store_true",
-                        help="check the task-graph runtime contract "
-                             "(DESIGN.md §15): zero graph-vs-waves "
-                             "equivalence failures for sharded requests "
-                             "across the worker sweep, non-vacuously")
     parser.add_argument("--gate-simd", action="store_true",
                         help="two-file mode (SCALAR.json SIMD.json): the "
                              "SIMD run's summed traversal-phase wall over "
@@ -774,20 +716,6 @@ def main(argv):
                   "matches a from-scratch run over the live set, queries "
                   "after an expiry do its exact work, warm appends "
                   "rebuild nothing)")
-            return 0
-        if args.gate_graph:
-            violations = []
-            for path in args.files:
-                file_violations, checked = gate_graph(load(path), path)
-                violations.extend(file_violations)
-                print(f"{path}: {checked} graph entries checked")
-            for v in violations:
-                print(f"FAIL: {v}", file=sys.stderr)
-            if violations:
-                return 1
-            print("ok: graph contract holds (graph-staged sharded runs "
-                  "bit-equal to the barrier waves across the worker "
-                  "sweep)")
             return 0
         if args.gate_simd:
             if len(args.files) != 2:
