@@ -12,7 +12,9 @@
 #include <cstdlib>
 #include <memory>
 #include <optional>
+#include <random>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/cluster.h"
@@ -118,6 +120,94 @@ TEST(Sharded, WorkCountersReportedAndWorkerInvariant) {
       EXPECT_EQ(c.num_clusters, first->num_clusters)
           << "minpts=" << minpts << " workers=" << workers;
     }
+  }
+}
+
+// Four well-separated Gaussian blobs plus isolated stragglers. Blob
+// centers sit 0.5 apart with sigma 0.015, so at eps = 0.05 no point is
+// within eps of core points of two different clusters: the border
+// assignment is unique, which lets the tests below demand bit-identical
+// labels across worker counts rather than equivalence up to border flips.
+std::vector<Point2> separated_blobs(std::int64_t per_blob,
+                                    std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::normal_distribution<float> gauss(0.0f, 0.015f);
+  const float centers[4][2] = {
+      {0.25f, 0.25f}, {0.75f, 0.25f}, {0.25f, 0.75f}, {0.75f, 0.75f}};
+  std::vector<Point2> points;
+  points.reserve(static_cast<std::size_t>(4 * per_blob + 3));
+  for (const auto& c : centers) {
+    for (std::int64_t i = 0; i < per_blob; ++i) {
+      points.push_back(Point2{{c[0] + gauss(rng), c[1] + gauss(rng)}});
+    }
+  }
+  points.push_back(Point2{{0.50f, 0.02f}});
+  points.push_back(Point2{{0.02f, 0.50f}});
+  points.push_back(Point2{{0.98f, 0.50f}});
+  return points;
+}
+
+void expect_bit_identical(const Clustering& got, const Clustering& want,
+                          const char* what) {
+  EXPECT_EQ(got.labels, want.labels) << what;
+  EXPECT_EQ(got.is_core, want.is_core) << what;
+  EXPECT_EQ(got.num_clusters, want.num_clusters) << what;
+  EXPECT_EQ(got.distance_computations, want.distance_computations) << what;
+  EXPECT_EQ(got.index_nodes_visited, want.index_nodes_visited) << what;
+  EXPECT_EQ(got.num_dense_cells, want.num_dense_cells) << what;
+  EXPECT_EQ(got.points_in_dense_cells, want.points_in_dense_cells) << what;
+}
+
+// The barrier waves (index, pre, main per shard, then the stitch) give
+// bit-identical labels, core flags, work counters and shard telemetry at
+// 1, 2 and 8 workers: work counters use striped accumulators folded in
+// slot order and the dataset admits a unique partition. The suite name
+// dates from when the same check compared task-graph staging to the waves.
+TEST(GraphEquivalence, ShardedBitIdenticalAcrossWorkers) {
+  const auto points = separated_blobs(250, 904);
+  const Parameters params{0.05f, 5};
+  for (std::int32_t shards : {2, 3}) {
+    ShardedEngine<2> engine(points, shards);
+    std::optional<ShardedResult> first;
+    for (int workers : {1, 2, 8}) {
+      testing::ScopedThreads threads(workers);
+      ShardedResult result = engine.run(params);
+      if (!first) {
+        first = std::move(result);
+        continue;
+      }
+      const Clustering& c = result.clustering;
+      const Clustering& want = first->clustering;
+      expect_bit_identical(c, want, "sharded");
+      EXPECT_EQ(c.num_shards, want.num_shards);
+      EXPECT_EQ(c.shard_ghosts, want.shard_ghosts);
+      EXPECT_EQ(c.shard_cross_edges, want.shard_cross_edges);
+      EXPECT_EQ(c.shard_halo_bytes, want.shard_halo_bytes);
+      ASSERT_EQ(result.shards.size(), first->shards.size());
+      for (std::size_t s = 0; s < result.shards.size(); ++s) {
+        EXPECT_EQ(result.shards[s].owned, first->shards[s].owned);
+        EXPECT_EQ(result.shards[s].ghosts, first->shards[s].ghosts);
+        EXPECT_EQ(result.shards[s].cross_edges, first->shards[s].cross_edges);
+      }
+    }
+  }
+}
+
+// FoF fast path (minpts 2 skips the preprocessing wave): still
+// bit-identical across worker counts.
+TEST(GraphEquivalence, ShardedFofPathBitIdentical) {
+  const auto points = separated_blobs(150, 905);
+  const Parameters fof{0.05f, 2};
+  ShardedEngine<2> engine(points, 3);
+  std::optional<Clustering> first;
+  for (int workers : {1, 8}) {
+    testing::ScopedThreads threads(workers);
+    Clustering c = engine.run(fof).clustering;
+    if (!first) {
+      first = std::move(c);
+      continue;
+    }
+    expect_bit_identical(c, *first, "sharded fof");
   }
 }
 
