@@ -26,10 +26,7 @@
 # overflow; terminal counts partition submitted. It also carries the
 # sharded-equivalence entry (SHARD_BENCHES): --gate-shards requires
 # zero equivalence failures across the worker x shard sweep and a
-# nonzero halo volume, so the gate cannot pass vacuously. Its entries
-# also stage the obs registry's per-window deltas (OBS_BENCHES):
-# --gate-obs requires the registry mirror to match ServiceMetrics
-# bit-equal on every shared key.
+# nonzero halo volume, so the gate cannot pass vacuously.
 #
 # stream_throughput (in STREAM_BENCHES) is gated on the streaming-session
 # contract (--gate-stream): every sliding-window query equivalent to a
@@ -78,10 +75,6 @@ set(SERVICE_BENCHES service_throughput)
 # equivalence is non-vacuous (multi-shard runs happened, halo volume
 # nonzero).
 set(SHARD_BENCHES service_throughput)
-
-# Benches staging obs-registry deltas alongside their service blocks:
-# gated on the mirror cross-check (tools/bench_compare.py --gate-obs).
-set(OBS_BENCHES service_throughput)
 
 # Benches carrying streaming-session entries: gated on the stream
 # contract (tools/bench_compare.py --gate-stream) — every streamed query
@@ -200,21 +193,6 @@ foreach(bench ${SMOKE_BENCHES})
         "bench_smoke: stream gate failed in ${bench}\n${stm_out}\n${stm_err}")
     endif()
     message(STATUS "bench_smoke: ${bench} stream contract ok\n${stm_out}")
-  endif()
-
-  if(bench IN_LIST OBS_BENCHES)
-    execute_process(
-      COMMAND ${PYTHON} ${COMPARE} --gate-obs
-        ${WORK_DIR}/BENCH_${bench}_t1.json
-        ${WORK_DIR}/BENCH_${bench}_t8.json
-      RESULT_VARIABLE rc
-      OUTPUT_VARIABLE obs_out
-      ERROR_VARIABLE obs_err)
-    if(NOT rc EQUAL 0)
-      message(FATAL_ERROR
-        "bench_smoke: obs mirror gate failed in ${bench}\n${obs_out}\n${obs_err}")
-    endif()
-    message(STATUS "bench_smoke: ${bench} obs mirror ok\n${obs_out}")
   endif()
 endforeach()
 

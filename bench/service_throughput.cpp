@@ -23,9 +23,6 @@
 //
 // Each entry stages its ServiceMetrics into the telemetry "service"
 // block; tools/bench_compare.py --gate-service enforces the invariants.
-// Entries additionally stage the obs registry's per-window delta of the
-// fdbscan_service_* mirrors as the "obs" block — bench_compare.py
-// --gate-obs cross-checks the two bit-equal.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -39,7 +36,6 @@
 #include "core/validate.h"
 #include "data/generators.h"
 #include "exec/thread_pool.h"
-#include "obs/metrics.h"
 #include "service/service.h"
 
 namespace {
@@ -50,7 +46,6 @@ using service::ClusterService;
 using service::ServiceConfig;
 using service::ServiceMetrics;
 using service::ServiceResult;
-using service::SubmitOptions;
 
 std::shared_ptr<const std::vector<Point2>> make_dataset(std::int64_t n,
                                                         std::uint64_t seed) {
@@ -92,46 +87,6 @@ void stage_metrics(const ClusterService& svc) {
   telemetry::stage_service_block(std::move(block));
 }
 
-/// The obs registry's view of the entry window, flattened under the same
-/// key names stage_metrics uses, so --gate-obs can compare shared keys
-/// bit-equal. The service mirror feeds both sides the identical integers
-/// (ObsMirror in service.h), so after wait_idle() the per-window delta
-/// of a single-service entry must match its ServiceMetrics exactly.
-void stage_obs_delta(const obs::MetricsSnapshot& before) {
-  const obs::MetricsSnapshot d =
-      obs::metrics_delta(before, obs::snapshot_metrics());
-  std::vector<std::pair<std::string, double>> block;
-  const auto counter = [&](const char* name) {
-    for (const auto& c : d.counters) {
-      if (c.name == name) return static_cast<double>(c.value);
-    }
-    return 0.0;
-  };
-  const auto hist = [&](const char* name) {
-    for (const auto& h : d.histograms) {
-      if (h.name == name) return h.data;
-    }
-    return obs::HistogramSnapshot{};
-  };
-  block.emplace_back("submitted", counter("fdbscan_service_submitted_total"));
-  block.emplace_back("completed", counter("fdbscan_service_completed_total"));
-  block.emplace_back("rejected", counter("fdbscan_service_rejected_total"));
-  block.emplace_back("cancelled", counter("fdbscan_service_cancelled_total"));
-  block.emplace_back("deadline_exceeded",
-                     counter("fdbscan_service_deadline_exceeded_total"));
-  block.emplace_back("failed", counter("fdbscan_service_failed_total"));
-  const obs::HistogramSnapshot qw = hist("fdbscan_service_queue_wait");
-  const obs::HistogramSnapshot rt = hist("fdbscan_service_run_time");
-  block.emplace_back("queue_wait_count", static_cast<double>(qw.count));
-  // Same ns->ms conversion as LatencySummary::snapshot(): identical
-  // int64 in, bit-identical double out.
-  block.emplace_back("queue_wait_total_ms",
-                     static_cast<double>(qw.total_ns) * 1e-6);
-  block.emplace_back("run_count", static_cast<double>(rt.count));
-  block.emplace_back("run_total_ms", static_cast<double>(rt.total_ns) * 1e-6);
-  telemetry::stage_obs_block(std::move(block));
-}
-
 void register_all() {
   const std::int64_t n = scaled(20000);
   // Deliberately NOT scaled: blocker/victim runs exist to pin a
@@ -147,14 +102,13 @@ void register_all() {
       "service_throughput/closed_loop/datasets=2/n=" + std::to_string(n),
       RunMeta{"gaussian", "service", n},
       [=](benchmark::State& state) {
-        const obs::MetricsSnapshot obs_before = obs::snapshot_metrics();
         ServiceConfig config;
         config.dispatchers = 2;
         config.queue_capacity = 8;
         ClusterService svc(config);
         const auto a = make_dataset(n, 42);
         const auto b = make_dataset(n, 43);
-        SubmitOptions plain;
+        RequestSpec plain;
         plain.method = Method::kFdbscan;  // eps-independent point BVH
         // Closed loop: one wave of (datasets x dispatchers) requests in
         // flight at a time, well under queue capacity — a correctly
@@ -164,10 +118,10 @@ void register_all() {
         for (int wave = 0; wave < kWaves; ++wave) {
           std::vector<std::future<ServiceResult>> inflight;
           for (int i = 0; i < 2; ++i) {
-            Parameters sweep = params;
-            sweep.minpts = 5 + 5 * i + wave;  // parameter sweep, warm index
-            inflight.push_back(svc.submit<2>("a", a, sweep, plain));
-            inflight.push_back(svc.submit<2>("b", b, sweep, plain));
+            plain.params = params;
+            plain.params.minpts = 5 + 5 * i + wave;  // sweep, warm index
+            inflight.push_back(svc.submit<2>("a", a, plain));
+            inflight.push_back(svc.submit<2>("b", b, plain));
           }
           for (auto& f : inflight) {
             if (f.get().has_value()) ++requests;
@@ -184,7 +138,6 @@ void register_all() {
         state.counters["rejected"] =
             static_cast<double>(svc.metrics().rejected);
         stage_metrics(svc);
-        stage_obs_delta(obs_before);
       });
 
   // --- Deterministic overload --------------------------------------------
@@ -192,7 +145,6 @@ void register_all() {
       "service_throughput/overload/extra=6",
       RunMeta{"gaussian", "service", n_big},
       [=](benchmark::State& state) {
-        const obs::MetricsSnapshot obs_before = obs::snapshot_metrics();
         ServiceConfig config;
         config.dispatchers = 1;
         config.queue_capacity = 4;
@@ -200,9 +152,9 @@ void register_all() {
         const auto big = make_dataset(n_big, 42);
         const auto tiny = make_dataset(64, 7);
         auto blocker_token = std::make_shared<exec::CancelToken>();
-        SubmitOptions blocking;
+        RequestSpec blocking{.params = params};
         blocking.token = blocker_token;
-        auto blocker = svc.submit<2>("blocker", big, params, blocking);
+        auto blocker = svc.submit<2>("blocker", big, blocking);
         wait_until(svc, [](const ServiceMetrics& m) {
           return m.active == 1 && m.queued == 0;
         });
@@ -211,7 +163,8 @@ void register_all() {
         constexpr int kExtra = 6;
         std::vector<std::future<ServiceResult>> burst;
         for (int i = 0; i < config.queue_capacity + kExtra; ++i) {
-          burst.push_back(svc.submit<2>("tiny", tiny, params));
+          burst.push_back(svc.submit<2>("tiny", tiny,
+                                        RequestSpec{.params = params}));
         }
         int rejected = 0;
         for (auto& f : burst) {
@@ -229,7 +182,6 @@ void register_all() {
         state.counters["expected_rejected"] = kExtra;
         state.counters["rejected"] = rejected;
         stage_metrics(svc);
-        stage_obs_delta(obs_before);
       });
 
   // --- Sharded equivalence gate -------------------------------------------
@@ -258,12 +210,12 @@ void register_all() {
             // The service (and its launches) must be gone before the
             // next thread-count change — hence the scope.
             ClusterService svc;
-            SubmitOptions submit;
+            RequestSpec submit{.params = sharded_params};
             submit.method = Method::kFdbscan;
             for (std::int32_t shards : {1, 2, 4}) {
               submit.shards = shards;
               const auto result =
-                  svc.submit<2>("ds", pts, sharded_params, submit).get();
+                  svc.submit<2>("ds", pts, submit).get();
               ++checked;
               const bool ok =
                   reference.has_value() && result.has_value() &&
@@ -299,13 +251,12 @@ void register_all() {
       "service_throughput/cancel_latency/n=" + std::to_string(n_big),
       RunMeta{"gaussian", "service", n_big},
       [=](benchmark::State& state) {
-        const obs::MetricsSnapshot obs_before = obs::snapshot_metrics();
         ClusterService svc;
         const auto big = make_dataset(n_big, 42);
         auto token = std::make_shared<exec::CancelToken>();
-        SubmitOptions cancellable;
+        RequestSpec cancellable{.params = params};
         cancellable.token = token;
-        auto doomed = svc.submit<2>("big", big, params, cancellable);
+        auto doomed = svc.submit<2>("big", big, cancellable);
         wait_until(svc, [](const ServiceMetrics& m) { return m.active == 1; });
         // Let kernels make progress, then measure raise -> resolution.
         std::this_thread::sleep_for(std::chrono::milliseconds(2));
@@ -321,7 +272,6 @@ void register_all() {
         state.counters["cancelled"] =
             static_cast<double>(svc.metrics().cancelled);
         stage_metrics(svc);
-        stage_obs_delta(obs_before);
       });
 
   // --- Deadlines -----------------------------------------------------------
@@ -329,16 +279,15 @@ void register_all() {
       "service_throughput/deadline/n=" + std::to_string(n_big),
       RunMeta{"gaussian", "service", n_big},
       [=](benchmark::State& state) {
-        const obs::MetricsSnapshot obs_before = obs::snapshot_metrics();
         ServiceConfig config;
         config.dispatchers = 1;
         ClusterService svc(config);
         const auto big = make_dataset(n_big, 42);
         // Already-elapsed budget: rejected on the submit path, before any
         // queue slot or kernel.
-        SubmitOptions expired;
+        RequestSpec expired{.params = params};
         expired.deadline_ms = 0.0;
-        const auto fast = svc.submit<2>("big", big, params, expired).get();
+        const auto fast = svc.submit<2>("big", big, expired).get();
         const bool fast_fail =
             !fast.has_value() &&
             fast.error().code == ErrorCode::kDeadlineExceeded;
@@ -347,14 +296,14 @@ void register_all() {
         // queued behind a blocker held for much longer than that is
         // watchdog-cancelled no matter how fast the substrate is.
         auto blocker_token = std::make_shared<exec::CancelToken>();
-        SubmitOptions blocking;
+        RequestSpec blocking{.params = params};
         blocking.token = blocker_token;
-        auto blocker = svc.submit<2>("blocker", big, params, blocking);
+        auto blocker = svc.submit<2>("blocker", big, blocking);
         wait_until(svc,
                    [](const ServiceMetrics& m) { return m.active == 1; });
-        SubmitOptions strict;
+        RequestSpec strict{.params = params};
         strict.deadline_ms = 1.0;
-        auto late = svc.submit<2>("big", big, params, strict);
+        auto late = svc.submit<2>("big", big, strict);
         std::this_thread::sleep_for(std::chrono::milliseconds(10));
         blocker_token->request_cancel();
         const auto late_result = late.get();
@@ -368,7 +317,6 @@ void register_all() {
         state.counters["deadline_exceeded"] =
             static_cast<double>(svc.metrics().deadline_exceeded);
         stage_metrics(svc);
-        stage_obs_delta(obs_before);
       });
 }
 

@@ -95,20 +95,11 @@ std::vector<std::pair<std::string, double>>& staged_service_block() {
   return block;
 }
 
-std::vector<std::pair<std::string, double>>& staged_obs_block() {
-  static std::vector<std::pair<std::string, double>> block;
-  return block;
-}
-
 void record(TelemetryEntry entry) {
   std::lock_guard<std::mutex> lock(registry_mutex());
   if (entry.service.empty() && !staged_service_block().empty()) {
     entry.service = std::move(staged_service_block());
     staged_service_block().clear();
-  }
-  if (entry.obs.empty() && !staged_obs_block().empty()) {
-    entry.obs = std::move(staged_obs_block());
-    staged_obs_block().clear();
   }
   registry().push_back(std::move(entry));
 }
@@ -117,11 +108,6 @@ void stage_service_block(
     std::vector<std::pair<std::string, double>> service) {
   std::lock_guard<std::mutex> lock(registry_mutex());
   staged_service_block() = std::move(service);
-}
-
-void stage_obs_block(std::vector<std::pair<std::string, double>> obs) {
-  std::lock_guard<std::mutex> lock(registry_mutex());
-  staged_obs_block() = std::move(obs);
 }
 
 void set_binary_name(const char* argv0) {
@@ -220,16 +206,6 @@ std::string write_json() {
         append_escaped(out, e.service[s].first);
         out += ": ";
         append_number(out, e.service[s].second);
-      }
-      out += "}";
-    }
-    if (!e.obs.empty()) {
-      out += ",\n     \"obs\": {";
-      for (std::size_t s = 0; s < e.obs.size(); ++s) {
-        if (s > 0) out += ", ";
-        append_escaped(out, e.obs[s].first);
-        out += ": ";
-        append_number(out, e.obs[s].second);
       }
       out += "}";
     }

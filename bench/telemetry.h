@@ -76,11 +76,6 @@ struct TelemetryEntry {
   /// to name/value pairs. Serialized as the optional "service" object
   /// when nonempty; tools/bench_compare.py --gate-service reads it.
   std::vector<std::pair<std::string, double>> service;
-  /// The obs registry's view of the same window (per-entry deltas of the
-  /// fdbscan_service_* metrics), staged alongside the service block.
-  /// Serialized as the optional "obs" object; bench_compare.py
-  /// --gate-obs cross-checks shared keys bit-equal against "service".
-  std::vector<std::pair<std::string, double>> obs;
   /// Nonempty when the run was skipped (e.g. simulated device OOM); such
   /// entries carry no comparable measurements.
   std::string error;
@@ -95,10 +90,6 @@ void record(TelemetryEntry entry);
 /// record()). Bench bodies call this from inside the entry, before
 /// register_custom builds and records the TelemetryEntry.
 void stage_service_block(std::vector<std::pair<std::string, double>> service);
-
-/// Stages an obs-registry block for the NEXT recorded entry (consumed
-/// by record(), like stage_service_block).
-void stage_obs_block(std::vector<std::pair<std::string, double>> obs);
 
 /// Derives the bench name (and default output file) from argv[0].
 void set_binary_name(const char* argv0);

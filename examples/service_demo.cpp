@@ -39,9 +39,9 @@ int main(int argc, char** argv) {
   // (FDBSCAN_STATUSZ selects the sink; see DESIGN.md §13).
   fdbscan::obs::statusz_install();
   const std::int64_t n = argc > 1 ? std::atoll(argv[1]) : 20000;
+  using fdbscan::RequestSpec;
   using fdbscan::service::ClusterService;
   using fdbscan::service::ServiceConfig;
-  using fdbscan::service::SubmitOptions;
 
   const auto ngsim = std::make_shared<const std::vector<fdbscan::Point2>>(
       fdbscan::data::gaussian_mixture2(n, 5, 1.0f, 0.01f, 42));
@@ -57,14 +57,14 @@ int main(int argc, char** argv) {
   // --- 1. Warm-engine reuse across concurrent requests -------------------
   // Plain FDBSCAN: its point BVH is eps/minpts-independent, so the whole
   // sweep needs exactly one index build per dataset.
-  SubmitOptions plain;
+  RequestSpec plain;
   plain.method = fdbscan::Method::kFdbscan;
   std::vector<std::future<fdbscan::service::ServiceResult>> futures;
   for (int i = 0; i < 3; ++i) {
-    fdbscan::Parameters sweep = params;
-    sweep.minpts = 5 + 5 * i;  // parameter sweep over one dataset
-    futures.push_back(service.submit<2>("ngsim", ngsim, sweep, plain));
-    futures.push_back(service.submit<2>("porto", porto, sweep, plain));
+    plain.params = params;
+    plain.params.minpts = 5 + 5 * i;  // parameter sweep over one dataset
+    futures.push_back(service.submit<2>("ngsim", ngsim, plain));
+    futures.push_back(service.submit<2>("porto", porto, plain));
   }
   for (auto& f : futures) {
     const auto result = f.get();
@@ -85,7 +85,8 @@ int main(int argc, char** argv) {
   service.wait_idle();
   std::vector<std::future<fdbscan::service::ServiceResult>> burst;
   for (int i = 0; i < 16; ++i) {
-    burst.push_back(service.submit<2>("ngsim", ngsim, params));
+    burst.push_back(service.submit<2>("ngsim", ngsim,
+                                      RequestSpec{.params = params}));
   }
   int rejected = 0;
   for (auto& f : burst) {
@@ -99,21 +100,22 @@ int main(int argc, char** argv) {
 
   // --- 3. Cooperative cancellation ---------------------------------------
   auto token = std::make_shared<fdbscan::exec::CancelToken>();
-  SubmitOptions cancellable;
+  RequestSpec cancellable{.params = params};
   cancellable.token = token;
-  auto doomed = service.submit<2>("ngsim", ngsim, params, cancellable);
+  auto doomed = service.submit<2>("ngsim", ngsim, cancellable);
   std::this_thread::sleep_for(std::chrono::microseconds(200));
   token->request_cancel();
   std::printf("cancelled mid-run: %s\n", outcome(doomed.get()));
 
   // --- 4. Deadlines -------------------------------------------------------
-  SubmitOptions strict;
+  RequestSpec strict{.params = params};
   strict.deadline_ms = 0.0;  // elapsed before submission: fails fast
-  auto late = service.submit<2>("ngsim", ngsim, params, strict);
+  auto late = service.submit<2>("ngsim", ngsim, strict);
   std::printf("zero deadline: %s\n", outcome(late.get()));
 
   // The engine survived the cancellation: a fresh run still serves.
-  auto fresh = service.submit<2>("ngsim", ngsim, params).get();
+  auto fresh = service.submit<2>("ngsim", ngsim,
+                                 RequestSpec{.params = params}).get();
   std::printf("after cancel, same engine: %s\n", outcome(fresh));
 
   // --- 5. Metrics ---------------------------------------------------------

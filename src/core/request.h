@@ -1,11 +1,8 @@
 // One composable request description for every clustering entry point
 // (DESIGN.md §10/§14).
 //
-// Before this header existed the request surface was split: the service
-// took SubmitOptions{options, method, shards, deadline_ms, token} plus a
-// per-call Parameters, while cluster(), cluster_sharded() and
-// distributed_cluster() each re-implemented the scalar validation
-// inline. RequestSpec folds the whole request into one value and
+// RequestSpec folds the whole request (parameters, options, method,
+// shards, deadline, token) into one value, and
 // validate_spec()/validate_shard_count() are the single validation path
 // every front door shares — the service validates the same spec at
 // submit time that a one-shot cluster() call validates inline, and the

@@ -12,11 +12,13 @@
 // The registry is global: two ClusterServices in one process add into
 // the same counters. Consumers that need a per-window view (bench
 // telemetry, tests) snapshot before and after and diff the snapshots
-// with metrics_delta(). Histograms use the same log2-microsecond
-// bucketing as the service's latency summaries (kLatencyBuckets in
-// service/service.h mirrors kHistogramBuckets here), so a service
-// histogram and its registry mirror stay bit-equal when fed the same
-// nanosecond samples.
+// with metrics_delta().
+//
+// Roll-up: a Counter or Histogram constructed with a parent (the
+// registry metric returned by counter()/histogram()) updates itself and
+// the parent in the same call. A ClusterService keeps its own
+// per-service metrics that way: its instance counts only its own
+// traffic, and the registry family sums every service in the process.
 //
 // Exposition: snapshot_metrics() returns a stable plain-struct view;
 // to_prometheus_text() and to_json() serialize it. Names follow
@@ -36,15 +38,20 @@ namespace fdbscan::obs {
 
 /// Log2-bucketed duration histograms: bucket i counts samples whose
 /// duration in microseconds lies in [2^(i-1), 2^i) (bucket 0: < 1 us;
-/// the last bucket absorbs everything larger). Must equal
-/// service::kLatencyBuckets so the service mirror stays bit-equal.
+/// the last bucket absorbs everything larger).
 inline constexpr int kHistogramBuckets = 24;
 
-/// Monotonic counter. inc() is one relaxed fetch_add.
+/// Monotonic counter. inc() is one relaxed fetch_add, plus one on the
+/// parent when the counter rolls up into one.
 class Counter {
  public:
+  Counter() = default;
+  /// Every inc() also adds into `parent` (which must outlive this).
+  explicit Counter(Counter* parent) noexcept : parent_(parent) {}
+
   void inc(std::int64_t delta = 1) noexcept {
     value_.fetch_add(delta, std::memory_order_relaxed);
+    if (parent_ != nullptr) parent_->inc(delta);
   }
   [[nodiscard]] std::int64_t value() const noexcept {
     return value_.load(std::memory_order_relaxed);
@@ -52,6 +59,7 @@ class Counter {
 
  private:
   std::atomic<std::int64_t> value_{0};
+  Counter* parent_ = nullptr;
 };
 
 /// Instantaneous value. set()/add() are one relaxed atomic each;
@@ -87,10 +95,15 @@ struct HistogramSnapshot {
 };
 
 /// Fixed-bucket duration histogram. observe_ns() is four relaxed RMWs
-/// (bucket, count, total, max) — identical update schedule to the
-/// service's AtomicHistogram so mirrored pairs stay bit-equal.
+/// (bucket, count, total, max), repeated on the parent when the
+/// histogram rolls up into one.
 class Histogram {
  public:
+  Histogram() = default;
+  /// Every observe_ns() also records into `parent` (which must outlive
+  /// this).
+  explicit Histogram(Histogram* parent) noexcept : parent_(parent) {}
+
   void observe_ns(std::int64_t ns) noexcept {
     const auto us = static_cast<std::uint64_t>(ns > 0 ? ns / 1000 : 0);
     const int idx = std::min(static_cast<int>(std::bit_width(us)),
@@ -103,6 +116,7 @@ class Histogram {
     while (ns > seen && !max_ns_.compare_exchange_weak(
                             seen, ns, std::memory_order_relaxed)) {
     }
+    if (parent_ != nullptr) parent_->observe_ns(ns);
   }
 
   [[nodiscard]] HistogramSnapshot snapshot() const noexcept {
@@ -123,6 +137,7 @@ class Histogram {
   std::atomic<std::int64_t> count_{0};
   std::atomic<std::int64_t> total_ns_{0};
   std::atomic<std::int64_t> max_ns_{0};
+  Histogram* parent_ = nullptr;
 };
 
 /// Look up (registering on first use) the named metric. The returned

@@ -7,11 +7,11 @@
 //
 // Concurrency rules:
 //   * An Engine supports one run at a time (engine.h). The pool enforces
-//     this with a per-entry cv-guarded running flag: acquire() returns a
-//     Lease that holds the flag, so concurrent requests against one
-//     dataset serialize on the warm engine instead of each building a
-//     cold one. Requests against distinct datasets run fully in
-//     parallel.
+//     this with a per-entry run mutex: acquire() returns a Lease that
+//     holds it, so concurrent requests against one dataset serialize on
+//     the warm engine instead of each building a cold one. Requests
+//     against distinct datasets run fully in parallel. A Lease is
+//     released on the thread that acquired it.
 //   * Eviction is LRU over entries with no lease and no pin outstanding.
 //     An entry that is leased or pinned is never destroyed under the
 //     caller — the pool may temporarily exceed its capacity when every
@@ -25,7 +25,6 @@
 // without knowing the concrete Engine<DIM>.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <list>
@@ -87,11 +86,9 @@ class EnginePool {
     int dim = 0;
     std::shared_ptr<void> engine;  // keeps the points alive via its holder
     EngineCounters (*counters)(const void*) = nullptr;
-    // One run at a time per engine: a cv-guarded flag, which
-    // dataset_stats() also waits on to read an idle entry's counters.
+    // One run at a time per engine: a Lease holds it, and
+    // dataset_stats() takes it to read an idle entry's counters.
     std::mutex run_mutex;
-    std::condition_variable run_cv;
-    bool running = false;
     bool validated = false;  // O(n) coordinate scan done for these points
     int active = 0;          // leases outstanding (guarded by pool mutex_)
     int pins = 0;            // long-lived Pins outstanding (guarded by mutex_)
@@ -112,32 +109,21 @@ class EnginePool {
   EnginePool(const EnginePool&) = delete;
   EnginePool& operator=(const EnginePool&) = delete;
 
-  /// Exclusive use of one dataset's engine: holds the entry's running
-  /// flag (and a liveness reference) until destruction.
+  /// Exclusive use of one dataset's engine: holds the entry's run mutex
+  /// (and a liveness reference) until destruction, which must happen on
+  /// the acquiring thread.
   class Lease {
    public:
     Lease() = default;
     Lease(std::shared_ptr<Entry> entry, EnginePool* pool)
-        : entry_(std::move(entry)), pool_(pool) {
-      std::unique_lock<std::mutex> lock(entry_->run_mutex);
-      entry_->run_cv.wait(lock, [&] { return !entry_->running; });
-      entry_->running = true;
-    }
+        : entry_(std::move(entry)), pool_(pool), run_lock_(entry_->run_mutex) {}
     Lease(Lease&&) = default;
     // No move-assign: overwriting a live lease would skip its active-count
     // release. Construct fresh leases instead.
     Lease& operator=(Lease&&) = delete;
     ~Lease() {
       if (entry_ && pool_) {
-        {
-          std::lock_guard<std::mutex> lock(entry_->run_mutex);
-          entry_->running = false;
-        }
-        // notify_all, not notify_one: blocked acquirers (Lease ctor) and
-        // dataset_stats() pollers share run_cv. A single wakeup consumed
-        // by a stats poll (which reads and returns without re-notifying)
-        // would strand a dispatcher waiting on the same entry forever.
-        entry_->run_cv.notify_all();
+        run_lock_.unlock();
         std::lock_guard<std::mutex> guard(pool_->mutex_);
         --entry_->active;
       }
@@ -152,8 +138,9 @@ class EnginePool {
     void set_validated() noexcept { entry_->validated = true; }
 
    private:
-    std::shared_ptr<Entry> entry_;
+    std::shared_ptr<Entry> entry_;  // declared first: outlives run_lock_
     EnginePool* pool_ = nullptr;
+    std::unique_lock<std::mutex> run_lock_;
   };
 
   /// Long-lived residency reference (DESIGN.md §14): unlike a Lease, a
@@ -230,11 +217,10 @@ class EnginePool {
     return s;
   }
 
-  /// Per-dataset counters for resident engines, sorted by id. Waits for
-  /// each entry's running flag to clear (EngineCounters is mutated by
-  /// runs) and holds it while reading, so this briefly serializes
-  /// against in-flight runs — call from telemetry paths, ideally after
-  /// the service is idle.
+  /// Per-dataset counters for resident engines, sorted by id. Takes each
+  /// entry's run mutex while reading (EngineCounters is mutated by runs),
+  /// so this briefly serializes against in-flight runs — call from
+  /// telemetry paths, ideally after the service is idle.
   [[nodiscard]] std::vector<DatasetStats> dataset_stats() {
     std::vector<std::shared_ptr<Entry>> snapshot;
     {
@@ -246,7 +232,6 @@ class EnginePool {
     out.reserve(snapshot.size());
     for (const auto& entry : snapshot) {
       std::unique_lock<std::mutex> run_lock(entry->run_mutex);
-      entry->run_cv.wait(run_lock, [&] { return !entry->running; });
       const EngineCounters c = entry->counters(entry->engine.get());
       run_lock.unlock();
       out.push_back(DatasetStats{entry->id, entry->dim, c.runs,

@@ -53,6 +53,15 @@ int env_int(const char* name, int fallback) {
   return fallback;
 }
 
+LatencySummary to_summary(const obs::HistogramSnapshot& h) {
+  LatencySummary s;
+  s.count = h.count;
+  s.total_ms = static_cast<double>(h.total_ns) * 1e-6;
+  s.max_ms = static_cast<double>(h.max_ns) * 1e-6;
+  s.buckets = h.buckets;
+  return s;
+}
+
 // wd_heap_ comparator: std::push_heap/pop_heap build a max-heap, so
 // "greater due_ns first" yields the earliest deadline at the front.
 bool later_deadline(const detail::WatchdogEntry& a,
@@ -164,9 +173,8 @@ ClusterService::~ClusterService() {
   // Requests still queued at shutdown never ran; their futures must not
   // dangle. They resolve to kCancelled after the dispatchers are gone.
   for (Request& req : leftover) {
-    cancelled_.fetch_add(1, std::memory_order_relaxed);
-    obs_.cancelled.inc();
-    obs_.queued.add(-1);
+    metrics_.cancelled.inc();
+    metrics_.queued.add(-1);
     Error error{ErrorCode::kCancelled,
                 "service destroyed before the request ran"};
     if (req.op == Op::kCluster || req.op == Op::kSessionQuery) {
@@ -178,13 +186,13 @@ ClusterService::~ClusterService() {
   // Sessions still open die with the service; keep the process-wide
   // open-sessions gauge honest (busy_tokens_ and the map simply go away
   // with us — no dispatcher can touch them anymore).
-  obs_.sessions_open.add(-static_cast<std::int64_t>(sessions_.size()));
+  metrics_.sessions_open.add(-static_cast<std::int64_t>(sessions_.size()));
   sessions_.clear();
   obs::log_event(
       obs::LogLevel::kInfo, "service.stop",
-      {{"submitted", submitted_.load(std::memory_order_relaxed)},
-       {"completed", completed_.load(std::memory_order_relaxed)},
-       {"cancelled", cancelled_.load(std::memory_order_relaxed)}});
+      {{"submitted", metrics_.submitted.value()},
+       {"completed", metrics_.completed.value()},
+       {"cancelled", metrics_.cancelled.value()}});
 }
 
 // Resolve a request rejected at admission into whichever promise its op
@@ -214,8 +222,7 @@ void ClusterService::enqueue(Request req, double deadline_ms) {
     // caller's other requests, and poisoning it would cancel work this
     // rejection has nothing to do with (the future's error is the
     // caller's signal either way).
-    deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
-    obs_.deadline_exceeded.inc();
+    metrics_.deadline_exceeded.inc();
     if (req.token_private) {
       req.token->request_cancel(exec::CancelReason::kDeadlineExceeded);
     }
@@ -237,15 +244,13 @@ void ClusterService::enqueue(Request req, double deadline_ms) {
   {
     std::lock_guard<std::mutex> lock(queue_mutex_);
     if (stopping_) {
-      cancelled_.fetch_add(1, std::memory_order_relaxed);
-      obs_.cancelled.inc();
+      metrics_.cancelled.inc();
       reject_request(req,
                      Error{ErrorCode::kCancelled, "service is shutting down"});
       return;
     }
     if (static_cast<std::int64_t>(queue_.size()) >= config_.queue_capacity) {
-      rejected_.fetch_add(1, std::memory_order_relaxed);
-      obs_.rejected.inc();
+      metrics_.rejected.inc();
       reject_request(req, Error{ErrorCode::kQueueFull,
                                 "request queue at capacity (" +
                                     std::to_string(config_.queue_capacity) +
@@ -258,8 +263,7 @@ void ClusterService::enqueue(Request req, double deadline_ms) {
     // Registered here, released by process() when the request resolves.
     if (!req.token_private &&
         !busy_tokens_.insert(req.token.get()).second) {
-      rejected_.fetch_add(1, std::memory_order_relaxed);
-      obs_.rejected.inc();
+      metrics_.rejected.inc();
       reject_request(req, Error{ErrorCode::kTokenBusy,
                                 "CancelToken is already observing an "
                                 "in-flight request"});
@@ -271,7 +275,7 @@ void ClusterService::enqueue(Request req, double deadline_ms) {
     // protocol) and ordered exactly like the queue.
     if (req.session != nullptr) req.ticket = req.session->next_ticket++;
     queue_.push_back(std::move(req));
-    obs_.queued.add(1);
+    metrics_.queued.add(1);
   }
   cv_queue_.notify_one();
   if (has_deadline) {
@@ -305,14 +309,14 @@ void ClusterService::dispatcher_loop(int index) {
       req.emplace(std::move(queue_.front()));
       queue_.pop_front();
       ++active_;
-      obs_.queued.add(-1);
-      obs_.active.add(1);
+      metrics_.queued.add(-1);
+      metrics_.active.add(1);
     }
     process(*req, track_floor_ns);
     {
       std::lock_guard<std::mutex> lock(queue_mutex_);
       --active_;
-      obs_.active.add(-1);
+      metrics_.active.add(-1);
       if (queue_.empty() && active_ == 0) cv_idle_.notify_all();
     }
   }
@@ -326,8 +330,7 @@ void ClusterService::process(Request& req, std::int64_t& track_floor_ns) {
   obs::RequestScope rid_scope(req.id);
   const std::int64_t start_ns = exec::trace_now_ns();
   const std::int64_t wait_ns = start_ns - req.submit_ns;
-  queue_wait_.add(wait_ns);
-  obs_.queue_wait.observe_ns(wait_ns);
+  metrics_.queue_wait.observe_ns(wait_ns);
   if (exec::trace_enabled()) {
     exec::trace_record_span("service/queue-wait",
                             std::max(req.submit_ns, track_floor_ns), start_ns,
@@ -355,8 +358,7 @@ void ClusterService::finish_request(Request& req,
                                     std::int64_t wait_ns) {
   const std::int64_t end_ns = exec::trace_now_ns();
   const std::int64_t run_ns = end_ns - start_ns;
-  run_time_.add(run_ns);
-  obs_.run_time.observe_ns(run_ns);
+  metrics_.run_time.observe_ns(run_ns);
   if (exec::trace_enabled()) {
     exec::trace_record_span("service/run", start_ns, end_ns, "service");
   }
@@ -375,23 +377,19 @@ void ClusterService::finish_request(Request& req,
   if (delta.has_value() && !delta->has_value()) error = &delta->error();
   const char* outcome = "ok";
   if (error == nullptr) {
-    completed_.fetch_add(1, std::memory_order_relaxed);
-    obs_.completed.inc();
+    metrics_.completed.inc();
   } else {
     switch (error->code) {
       case ErrorCode::kCancelled:
-        cancelled_.fetch_add(1, std::memory_order_relaxed);
-        obs_.cancelled.inc();
+        metrics_.cancelled.inc();
         outcome = "cancelled";
         break;
       case ErrorCode::kDeadlineExceeded:
-        deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
-        obs_.deadline_exceeded.inc();
+        metrics_.deadline_exceeded.inc();
         outcome = "deadline_exceeded";
         break;
       default:
-        failed_.fetch_add(1, std::memory_order_relaxed);
-        obs_.failed.inc();
+        metrics_.failed.inc();
         outcome = "failed";
         break;
     }
@@ -433,8 +431,7 @@ ServiceResult ClusterService::run_request(Request& req) {
                      "session open did not complete"};
       }
       Clustering result = s.query_fn(s.stream.get());
-      session_queries_.fetch_add(1, std::memory_order_relaxed);
-      obs_.session_queries.inc();
+      metrics_.session_queries.inc();
       note_session_rebuilds(s);
       return result;
     }
@@ -489,12 +486,10 @@ SessionResult ClusterService::run_session_mutation(Request& req) {
         return *std::move(error);
       }
       delta.first_seq = s.append_fn(s.stream.get(), req.payload.get());
-      session_appends_.fetch_add(1, std::memory_order_relaxed);
-      obs_.session_appends.inc();
+      metrics_.session_appends.inc();
     } else {  // Op::kSessionExpire
       delta.expired = s.expire_fn(s.stream.get(), req.expire_before);
-      session_expires_.fetch_add(1, std::memory_order_relaxed);
-      obs_.session_expires.inc();
+      metrics_.session_expires.inc();
     }
     delta.next_seq = s.next_seq_fn(s.stream.get());
     delta.live_points = s.size_fn(s.stream.get());
@@ -544,9 +539,8 @@ Expected<ClusterService::Session, Error> ClusterService::register_session(
     state->id = next_session_id_++;
     sessions_.emplace(state->id, state);
   }
-  session_opened_.fetch_add(1, std::memory_order_relaxed);
-  obs_.session_opened.inc();
-  obs_.sessions_open.add(1);
+  metrics_.session_opened.inc();
+  metrics_.sessions_open.add(1);
   obs::log_event(obs::LogLevel::kInfo, "service.session_open",
                  {{"session", static_cast<std::int64_t>(state->id)},
                   {"dataset", state->dataset_id},
@@ -580,8 +574,7 @@ std::future<SessionResult> ClusterService::enqueue_session_op(
     double deadline_ms, std::shared_ptr<exec::CancelToken> token) {
   std::promise<SessionResult> promise;
   std::future<SessionResult> future = promise.get_future();
-  submitted_.fetch_add(1, std::memory_order_relaxed);
-  obs_.submitted.inc();
+  metrics_.submitted.inc();
   Request req;
   req.id = obs::mint_request_id();
   req.op = op;
@@ -616,11 +609,9 @@ std::future<ServiceResult> ClusterService::session_query(
   std::promise<ServiceResult> promise;
   std::future<ServiceResult> future = promise.get_future();
   auto state = find_session(id);
-  submitted_.fetch_add(1, std::memory_order_relaxed);
-  obs_.submitted.inc();
+  metrics_.submitted.inc();
   if (!state) {
-    failed_.fetch_add(1, std::memory_order_relaxed);
-    obs_.failed.inc();
+    metrics_.failed.inc();
     promise.set_value(Error{ErrorCode::kInvalidSession,
                             "unknown or closed session " +
                                 std::to_string(id)});
@@ -640,10 +631,8 @@ std::future<ServiceResult> ClusterService::session_query(
 }
 
 std::future<SessionResult> ClusterService::reject_session(Error error) {
-  submitted_.fetch_add(1, std::memory_order_relaxed);
-  obs_.submitted.inc();
-  failed_.fetch_add(1, std::memory_order_relaxed);
-  obs_.failed.inc();
+  metrics_.submitted.inc();
+  metrics_.failed.inc();
   std::promise<SessionResult> promise;
   std::future<SessionResult> future = promise.get_future();
   promise.set_value(std::move(error));
@@ -662,7 +651,7 @@ void ClusterService::close_session(std::uint64_t id) {
   // New ops now reject with kInvalidSession; ops already queued hold the
   // state by shared_ptr and run to completion. The streaming engine and
   // the pool Pin release when the last such reference drops.
-  obs_.sessions_open.add(-1);
+  metrics_.sessions_open.add(-1);
   obs::log_event(obs::LogLevel::kInfo, "service.session_close",
                  {{"session", static_cast<std::int64_t>(id)},
                   {"dataset", state->dataset_id}});
@@ -674,8 +663,7 @@ void ClusterService::note_session_rebuilds(detail::SessionState& s) {
   if (total > s.reported_rebuilds) {
     const std::int64_t delta = total - s.reported_rebuilds;
     s.reported_rebuilds = total;
-    session_rebuilds_.fetch_add(delta, std::memory_order_relaxed);
-    obs_.session_rebuilds.inc(delta);
+    metrics_.session_rebuilds.inc(delta);
   }
 }
 
@@ -714,25 +702,25 @@ void ClusterService::wait_idle() {
 
 ServiceMetrics ClusterService::metrics() const {
   ServiceMetrics m;
-  m.submitted = submitted_.load(std::memory_order_relaxed);
-  m.completed = completed_.load(std::memory_order_relaxed);
-  m.rejected = rejected_.load(std::memory_order_relaxed);
-  m.cancelled = cancelled_.load(std::memory_order_relaxed);
-  m.deadline_exceeded = deadline_exceeded_.load(std::memory_order_relaxed);
-  m.failed = failed_.load(std::memory_order_relaxed);
-  m.session_opened = session_opened_.load(std::memory_order_relaxed);
-  m.session_appends = session_appends_.load(std::memory_order_relaxed);
-  m.session_expires = session_expires_.load(std::memory_order_relaxed);
-  m.session_queries = session_queries_.load(std::memory_order_relaxed);
-  m.session_rebuilds = session_rebuilds_.load(std::memory_order_relaxed);
+  m.submitted = metrics_.submitted.value();
+  m.completed = metrics_.completed.value();
+  m.rejected = metrics_.rejected.value();
+  m.cancelled = metrics_.cancelled.value();
+  m.deadline_exceeded = metrics_.deadline_exceeded.value();
+  m.failed = metrics_.failed.value();
+  m.session_opened = metrics_.session_opened.value();
+  m.session_appends = metrics_.session_appends.value();
+  m.session_expires = metrics_.session_expires.value();
+  m.session_queries = metrics_.session_queries.value();
+  m.session_rebuilds = metrics_.session_rebuilds.value();
   {
     std::lock_guard<std::mutex> lock(queue_mutex_);
     m.queued = static_cast<std::int64_t>(queue_.size());
     m.active = active_;
     m.sessions_open = static_cast<std::int64_t>(sessions_.size());
   }
-  m.queue_wait = queue_wait_.snapshot();
-  m.run_time = run_time_.snapshot();
+  m.queue_wait = to_summary(metrics_.queue_wait.snapshot());
+  m.run_time = to_summary(metrics_.run_time.snapshot());
   return m;
 }
 
@@ -754,12 +742,7 @@ obs::HistogramSnapshot to_histogram(const LatencySummary& s) {
   h.count = s.count;
   h.total_ns = static_cast<std::int64_t>(s.total_ms * 1e6);
   h.max_ns = static_cast<std::int64_t>(s.max_ms * 1e6);
-  static_assert(kLatencyBuckets == obs::kHistogramBuckets,
-                "service latency buckets must mirror the registry's");
-  for (int i = 0; i < kLatencyBuckets; ++i) {
-    h.buckets[static_cast<std::size_t>(i)] =
-        s.buckets[static_cast<std::size_t>(i)];
-  }
+  h.buckets = s.buckets;
   return h;
 }
 

@@ -55,8 +55,6 @@
 #pragma once
 
 #include <array>
-#include <atomic>
-#include <bit>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -120,10 +118,9 @@ struct ServiceConfig {
   [[nodiscard]] static ServiceConfig from_env();
 };
 
-/// Log2-bucketed latency distribution. Bucket i counts samples whose
-/// duration in microseconds lies in [2^(i-1), 2^i) (bucket 0: < 1 us;
-/// the last bucket absorbs everything larger).
-inline constexpr int kLatencyBuckets = 24;
+/// Log2-bucketed latency distribution: the registry's histogram buckets
+/// (obs::kHistogramBuckets).
+inline constexpr int kLatencyBuckets = obs::kHistogramBuckets;
 
 struct LatencySummary {
   std::int64_t count = 0;
@@ -177,32 +174,6 @@ struct ServiceSnapshot {
 /// dump line up name-for-name.
 [[nodiscard]] std::string to_prometheus_text(const ServiceSnapshot& snap);
 [[nodiscard]] std::string to_json(const ServiceSnapshot& snap);
-
-/// Legacy request shape, kept as a shim: submit(dataset, points, params,
-/// SubmitOptions) folds into a RequestSpec (core/request.h) and forwards
-/// to the spec overload — one validation path, one queue. New call sites
-/// should pass a RequestSpec directly.
-struct SubmitOptions {
-  Options options{};
-  Method method = Method::kAuto;
-  /// See RequestSpec::deadline_ms.
-  double deadline_ms = kNoDeadline;
-  /// See RequestSpec::token.
-  std::shared_ptr<exec::CancelToken> token{};
-  /// See RequestSpec::shards (0 = ServiceConfig::shards).
-  std::int32_t shards = 0;
-
-  [[nodiscard]] RequestSpec to_spec(const Parameters& params) const {
-    RequestSpec spec;
-    spec.params = params;
-    spec.options = options;
-    spec.method = method;
-    spec.shards = shards;
-    spec.deadline_ms = deadline_ms;
-    spec.token = token;
-    return spec;
-  }
-};
 
 using ServiceResult = Expected<Clustering, Error>;
 
@@ -323,7 +294,7 @@ Clustering run_typed(void* holder, const Parameters& params,
   auto* h = static_cast<EngineHolder<DIM>*>(holder);
   if (shards > 1) {
     // Sharded execution is FDBSCAN's decomposition; `method` does not
-    // apply (documented on SubmitOptions::shards).
+    // apply (documented on RequestSpec::shards).
     return h->sharded_for(shards).run(params, options).clustering;
   }
   switch (method) {
@@ -429,17 +400,14 @@ class ClusterService {
       RequestSpec spec) {
     std::promise<ServiceResult> promise;
     std::future<ServiceResult> future = promise.get_future();
-    submitted_.fetch_add(1, std::memory_order_relaxed);
-    obs_.submitted.inc();
+    metrics_.submitted.inc();
     if (!points) {
-      failed_.fetch_add(1, std::memory_order_relaxed);
-      obs_.failed.inc();
+      metrics_.failed.inc();
       promise.set_value(Error{ErrorCode::kInternal, "points must not be null"});
       return future;
     }
     if (auto error = validate_spec(spec)) {
-      failed_.fetch_add(1, std::memory_order_relaxed);
-      obs_.failed.inc();
+      metrics_.failed.inc();
       promise.set_value(*std::move(error));
       return future;
     }
@@ -463,16 +431,6 @@ class ClusterService {
     req.run = &detail::run_typed<DIM>;
     enqueue(std::move(req), spec.deadline_ms);
     return future;
-  }
-
-  /// Legacy submit shape; folds into a RequestSpec and forwards.
-  template <int DIM>
-  [[nodiscard]] std::future<ServiceResult> submit(
-      const std::string& dataset_id,
-      std::shared_ptr<const std::vector<Point<DIM>>> points,
-      const Parameters& params, SubmitOptions submit_options = {}) {
-    return submit<DIM>(dataset_id, std::move(points),
-                       submit_options.to_spec(params));
   }
 
   /// Stateful handle to one streaming session (move-only). Obtained from
@@ -720,42 +678,6 @@ class ClusterService {
     std::uint64_t ticket = 0;  ///< position in the session's turnstile
   };
 
-  struct AtomicHistogram {
-    std::array<std::atomic<std::int64_t>, kLatencyBuckets> buckets{};
-    std::atomic<std::int64_t> count{0};
-    std::atomic<std::int64_t> total_ns{0};
-    std::atomic<std::int64_t> max_ns{0};
-
-    void add(std::int64_t ns) noexcept {
-      const auto us = static_cast<std::uint64_t>(ns > 0 ? ns / 1000 : 0);
-      const int idx = std::min(static_cast<int>(std::bit_width(us)),
-                               kLatencyBuckets - 1);
-      buckets[static_cast<std::size_t>(idx)].fetch_add(
-          1, std::memory_order_relaxed);
-      count.fetch_add(1, std::memory_order_relaxed);
-      total_ns.fetch_add(ns, std::memory_order_relaxed);
-      std::int64_t seen = max_ns.load(std::memory_order_relaxed);
-      while (ns > seen && !max_ns.compare_exchange_weak(
-                              seen, ns, std::memory_order_relaxed)) {
-      }
-    }
-
-    [[nodiscard]] LatencySummary snapshot() const {
-      LatencySummary s;
-      s.count = count.load(std::memory_order_relaxed);
-      s.total_ms =
-          static_cast<double>(total_ns.load(std::memory_order_relaxed)) * 1e-6;
-      s.max_ms =
-          static_cast<double>(max_ns.load(std::memory_order_relaxed)) * 1e-6;
-      for (int i = 0; i < kLatencyBuckets; ++i) {
-        s.buckets[static_cast<std::size_t>(i)] =
-            buckets[static_cast<std::size_t>(i)].load(
-                std::memory_order_relaxed);
-      }
-      return s;
-    }
-  };
-
   template <int DIM>
   [[nodiscard]] std::future<SessionResult> session_append(
       std::uint64_t id,
@@ -846,55 +768,37 @@ class ClusterService {
   std::vector<detail::WatchdogEntry> wd_heap_;  // guarded by wd_mutex_
   bool wd_stop_ = false;
 
-  std::atomic<std::int64_t> submitted_{0};
-  std::atomic<std::int64_t> completed_{0};
-  std::atomic<std::int64_t> rejected_{0};
-  std::atomic<std::int64_t> cancelled_{0};
-  std::atomic<std::int64_t> deadline_exceeded_{0};
-  std::atomic<std::int64_t> failed_{0};
-  std::atomic<std::int64_t> session_opened_{0};
-  std::atomic<std::int64_t> session_appends_{0};
-  std::atomic<std::int64_t> session_expires_{0};
-  std::atomic<std::int64_t> session_queries_{0};
-  std::atomic<std::int64_t> session_rebuilds_{0};
-  AtomicHistogram queue_wait_;
-  AtomicHistogram run_time_;
-
-  /// Registry mirrors (DESIGN.md §13): every site that bumps one of the
-  /// atomics above bumps the same-named registry metric with the same
-  /// value, so a registry delta over a window in which only this
-  /// service ran is bit-equal to the ServiceMetrics delta
-  /// (bench_compare.py --gate-obs cross-checks exactly that). The
-  /// registry is process-wide: concurrent services share these.
-  struct ObsMirror {
-    obs::Counter& submitted =
-        obs::counter("fdbscan_service_submitted_total");
-    obs::Counter& completed =
-        obs::counter("fdbscan_service_completed_total");
-    obs::Counter& rejected = obs::counter("fdbscan_service_rejected_total");
-    obs::Counter& cancelled =
-        obs::counter("fdbscan_service_cancelled_total");
-    obs::Counter& deadline_exceeded =
-        obs::counter("fdbscan_service_deadline_exceeded_total");
-    obs::Counter& failed = obs::counter("fdbscan_service_failed_total");
+  /// Per-service metrics (DESIGN.md §13). Each counter and histogram
+  /// rolls up into the same-named registry family, so every event is one
+  /// call here: metrics() reads this service's own traffic, and the
+  /// registry sums every service in the process. The gauges are
+  /// registry-only; metrics() reads depth, activity and open sessions
+  /// from the queue state instead.
+  struct MetricSet {
+    obs::Counter submitted{&obs::counter("fdbscan_service_submitted_total")};
+    obs::Counter completed{&obs::counter("fdbscan_service_completed_total")};
+    obs::Counter rejected{&obs::counter("fdbscan_service_rejected_total")};
+    obs::Counter cancelled{&obs::counter("fdbscan_service_cancelled_total")};
+    obs::Counter deadline_exceeded{
+        &obs::counter("fdbscan_service_deadline_exceeded_total")};
+    obs::Counter failed{&obs::counter("fdbscan_service_failed_total")};
+    obs::Counter session_opened{
+        &obs::counter("fdbscan_service_session_opened_total")};
+    obs::Counter session_appends{
+        &obs::counter("fdbscan_service_session_append_total")};
+    obs::Counter session_expires{
+        &obs::counter("fdbscan_service_session_expire_total")};
+    obs::Counter session_queries{
+        &obs::counter("fdbscan_service_session_query_total")};
+    obs::Counter session_rebuilds{
+        &obs::counter("fdbscan_service_session_rebuilds_total")};
+    obs::Histogram queue_wait{&obs::histogram("fdbscan_service_queue_wait")};
+    obs::Histogram run_time{&obs::histogram("fdbscan_service_run_time")};
     obs::Gauge& queued = obs::gauge("fdbscan_service_queue_depth");
     obs::Gauge& active = obs::gauge("fdbscan_service_active_requests");
     obs::Gauge& sessions_open = obs::gauge("fdbscan_service_sessions_open");
-    obs::Counter& session_opened =
-        obs::counter("fdbscan_service_session_opened_total");
-    obs::Counter& session_appends =
-        obs::counter("fdbscan_service_session_append_total");
-    obs::Counter& session_expires =
-        obs::counter("fdbscan_service_session_expire_total");
-    obs::Counter& session_queries =
-        obs::counter("fdbscan_service_session_query_total");
-    obs::Counter& session_rebuilds =
-        obs::counter("fdbscan_service_session_rebuilds_total");
-    obs::Histogram& queue_wait =
-        obs::histogram("fdbscan_service_queue_wait");
-    obs::Histogram& run_time = obs::histogram("fdbscan_service_run_time");
   };
-  ObsMirror obs_;
+  MetricSet metrics_;
 
   std::vector<std::thread> dispatchers_;
   std::thread watchdog_;

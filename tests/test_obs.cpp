@@ -1,7 +1,8 @@
 // Observability plane (src/obs/, DESIGN.md §13): metrics registry
 // semantics (monotone counters under contention, histogram identities,
-// name stability), the service's registry mirror (per-window deltas
-// bit-equal to ServiceMetrics), request-id propagation through trace
+// name stability, parented roll-up), per-service metrics rolling up into
+// the registry (a registry delta equals the sum of the services' own
+// ServiceMetrics), request-id propagation through trace
 // spans, the structured JSONL log (levels, rate limiting, env-warning
 // migration), statusz dumps, and the trace-flush-vs-recorder race the
 // SIGUSR1 path depends on (swept under TSan via the `obs` label).
@@ -23,6 +24,8 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include <unistd.h>
@@ -142,6 +145,49 @@ TEST(ObsMetrics, HistogramBucketSumEqualsCountAndPlacementIsLog2) {
   EXPECT_GE(after.max_ns, std::int64_t{3600} * 1000 * 1000 * 1000);
 }
 
+TEST(ObsMetrics, ParentedMetricsRollUpUnderConcurrentUpdates) {
+  Counter& parent = counter("test_obs_rollup_total");
+  Histogram& parent_hist = histogram("test_obs_rollup_hist");
+  const std::int64_t base = parent.value();
+  const HistogramSnapshot hist_base = parent_hist.snapshot();
+  Counter a(&parent);
+  Counter b(&parent);
+  Histogram ha(&parent_hist);
+  Histogram hb(&parent_hist);
+  constexpr int kThreads = 4;
+  constexpr int kIncs = 5000;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Counter& c = t % 2 == 0 ? a : b;
+      Histogram& h = t % 2 == 0 ? ha : hb;
+      for (int i = 0; i < kIncs; ++i) {
+        c.inc(1 + t);
+        h.observe_ns(std::int64_t{1000} * (1 + (i + t) % 300));
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  // Each instance holds only its own increments; the parent holds both.
+  EXPECT_EQ(a.value(), kIncs * (1 + 3));
+  EXPECT_EQ(b.value(), kIncs * (2 + 4));
+  EXPECT_EQ(parent.value() - base, a.value() + b.value());
+  const HistogramSnapshot sa = ha.snapshot();
+  const HistogramSnapshot sb = hb.snapshot();
+  const HistogramSnapshot sp = parent_hist.snapshot();
+  EXPECT_EQ(sa.count, 2 * kIncs);
+  EXPECT_EQ(sb.count, 2 * kIncs);
+  EXPECT_EQ(sp.count - hist_base.count, sa.count + sb.count);
+  EXPECT_EQ(sp.total_ns - hist_base.total_ns, sa.total_ns + sb.total_ns);
+  for (int i = 0; i < kHistogramBuckets; ++i) {
+    const auto k = static_cast<std::size_t>(i);
+    EXPECT_EQ(sp.buckets[k] - hist_base.buckets[k],
+              sa.buckets[k] + sb.buckets[k])
+        << "bucket " << i;
+  }
+  EXPECT_GE(sp.max_ns, std::max(sa.max_ns, sb.max_ns));
+}
+
 TEST(ObsMetrics, DeltaSubtractsCountersAndHistograms) {
   Counter& c = counter("test_obs_delta_total");
   Histogram& h = histogram("test_obs_delta_hist");
@@ -241,12 +287,13 @@ TEST(ObsMetrics, SnapshotNamesUniqueSortedAndStableAcrossWorkerCounts) {
     {
       service::ClusterService svc;
       auto result =
-          svc.submit<2>("obs-names", points, Parameters{0.05f, 5}).get();
+          svc.submit<2>("obs-names", points,
+                        RequestSpec{.params = {0.05f, 5}}).get();
       ASSERT_TRUE(result.has_value());
-      service::SubmitOptions sharded;
+      RequestSpec sharded{.params = {0.05f, 5}};
       sharded.shards = 2;
       auto sharded_result =
-          svc.submit<2>("obs-names", points, Parameters{0.05f, 5}, sharded)
+          svc.submit<2>("obs-names", points, sharded)
               .get();
       ASSERT_TRUE(sharded_result.has_value());
       svc.wait_idle();
@@ -282,7 +329,7 @@ TEST(ObsMetrics, SnapshotNamesUniqueSortedAndStableAcrossWorkerCounts) {
   }
 }
 
-// --- Service mirror ------------------------------------------------------
+// --- Service roll-up ------------------------------------------------------
 
 TEST(ObsServiceMirror, RegistryDeltaMatchesServiceMetricsUnderConcurrency) {
   const auto points = shared_points(500, 21);
@@ -299,7 +346,8 @@ TEST(ObsServiceMirror, RegistryDeltaMatchesServiceMetricsUnderConcurrency) {
       submitters.emplace_back([&svc, &points, t] {
         for (int i = 0; i < kPerThread; ++i) {
           Parameters params{0.05f, 5 + (t + i) % 3};
-          auto f = svc.submit<2>("mirror", points, params);
+          auto f = svc.submit<2>("mirror", points,
+                                 RequestSpec{.params = params});
           (void)f.get();
         }
       });
@@ -359,10 +407,231 @@ TEST(ObsServiceMirror, RegistryDeltaMatchesServiceMetricsUnderConcurrency) {
   }
 }
 
+// Two services alive at once, each driven through every terminal
+// outcome and every session op: each service's metrics() counts only its
+// own traffic, and the registry family is their sum.
+struct ScenarioCounts {
+  std::int64_t submitted = 0;
+  std::int64_t completed = 0;
+  std::int64_t rejected = 0;
+  std::int64_t cancelled = 0;
+  std::int64_t deadline_exceeded = 0;
+  std::int64_t failed = 0;
+  std::int64_t session_rebuilds = 0;
+};
+
+// Runs `reps` of each outcome against `svc` (one dispatcher, queue
+// capacity kCapacity) and returns what the futures reported.
+ScenarioCounts drive_every_outcome(
+    service::ClusterService& svc, int reps,
+    const std::shared_ptr<const std::vector<Point2>>& big,
+    const std::shared_ptr<const std::vector<Point2>>& tiny) {
+  using service::ServiceResult;
+  using service::SessionResult;
+  ScenarioCounts n;
+  const Parameters params{0.05f, 5};
+  const auto settle = [&n](const auto& r) {
+    if (r.has_value()) {
+      ++n.completed;
+      return;
+    }
+    switch (r.error().code) {
+      case ErrorCode::kQueueFull: ++n.rejected; break;
+      case ErrorCode::kCancelled: ++n.cancelled; break;
+      case ErrorCode::kDeadlineExceeded: ++n.deadline_exceeded; break;
+      default: ++n.failed; break;
+    }
+  };
+  const auto submit = [&](const std::string& id,
+                          const std::shared_ptr<const std::vector<Point2>>& pts,
+                          RequestSpec spec) {
+    ++n.submitted;
+    return svc.submit<2>(id, pts, std::move(spec));
+  };
+
+  for (int r = 0; r < reps; ++r) {
+    settle(submit("tiny", tiny, RequestSpec{.params = params}).get());
+    settle(submit("tiny", tiny, RequestSpec{.params = {-1.0f, 5}}).get());
+    RequestSpec expired{.params = params};
+    expired.deadline_ms = 0.0;
+    settle(submit("tiny", tiny, expired).get());
+    RequestSpec cancelled{.params = params};
+    cancelled.token = std::make_shared<exec::CancelToken>();
+    cancelled.token->request_cancel();
+    settle(submit("tiny", tiny, cancelled).get());
+  }
+
+  // Queue-full: hold the only dispatcher with a cancellable blocker, then
+  // overfill the empty queue by `reps`.
+  RequestSpec blocking{.params = params};
+  blocking.token = std::make_shared<exec::CancelToken>();
+  auto blocker = submit("blocker", big, blocking);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (std::chrono::steady_clock::now() < deadline) {
+    const service::ServiceMetrics m = svc.metrics();
+    if (m.active == 1 && m.queued == 0) break;
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  std::vector<std::future<ServiceResult>> burst;
+  for (int i = 0; i < svc.config().queue_capacity + reps; ++i) {
+    burst.push_back(submit("tiny", tiny, RequestSpec{.params = params}));
+  }
+  blocking.token->request_cancel();
+  settle(blocker.get());
+  for (auto& f : burst) settle(f.get());
+
+  // Sessions: open, query (the lazy index build), append, expire, query,
+  // append. The last op is a mutation, so its delta carries the
+  // session's final rebuild count.
+  for (int r = 0; r < reps; ++r) {
+    RequestSpec spec{.params = params};
+    auto opened = svc.open_session<2>(
+        "stream-" + std::to_string(r),
+        std::make_shared<const std::vector<Point2>>(tiny->begin(),
+                                                    tiny->begin() + 200),
+        spec);
+    EXPECT_TRUE(opened.has_value());
+    if (!opened.has_value()) return n;
+    service::ClusterService::Session session = std::move(*opened);
+    const auto batch = std::make_shared<const std::vector<Point2>>(
+        tiny->begin() + 200, tiny->end());
+    n.submitted += 6;
+    ++n.completed;  // the open; a failed one would fail every op below
+    const ServiceResult q1 = session.query().get();
+    const SessionResult a = session.append<2>(batch).get();
+    const SessionResult e = session.expire(100).get();
+    const ServiceResult q2 = session.query().get();
+    const SessionResult last = session.append<2>(batch).get();
+    for (const ServiceResult* q : {&q1, &q2}) {
+      EXPECT_TRUE(q->has_value()) << q->error().message;
+      settle(*q);
+    }
+    for (const SessionResult* d : {&a, &e, &last}) {
+      EXPECT_TRUE(d->has_value()) << d->error().message;
+      settle(*d);
+    }
+    if (last.has_value()) n.session_rebuilds += last->rebuilds;
+    session.close();
+  }
+  svc.wait_idle();
+  return n;
+}
+
+TEST(ObsServiceMirror, TwoServicesRollUpIntoTheRegistry) {
+  const auto big = shared_points(150000, 41);
+  const auto tiny = shared_points(400, 42);
+  for (const int workers : {1, 2, 8}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    ScopedThreads scoped(workers);
+    const MetricsSnapshot before = snapshot_metrics();
+    service::ServiceConfig config;
+    config.dispatchers = 1;
+    config.queue_capacity = 2;
+    service::ClusterService svc_a(config);
+    service::ClusterService svc_b(config);
+    ScenarioCounts want_a;
+    ScenarioCounts want_b;
+    std::thread thread_a(
+        [&] { want_a = drive_every_outcome(svc_a, 1, big, tiny); });
+    std::thread thread_b(
+        [&] { want_b = drive_every_outcome(svc_b, 2, big, tiny); });
+    thread_a.join();
+    thread_b.join();
+    const service::ServiceMetrics a = svc_a.metrics();
+    const service::ServiceMetrics b = svc_b.metrics();
+    const MetricsSnapshot delta = metrics_delta(before, snapshot_metrics());
+
+    // Each service counts only its own requests.
+    for (const auto& [m, want, reps] :
+         {std::tuple{a, want_a, 1}, std::tuple{b, want_b, 2}}) {
+      EXPECT_EQ(m.submitted, want.submitted);
+      EXPECT_EQ(m.completed, want.completed);
+      EXPECT_EQ(m.rejected, want.rejected);
+      EXPECT_EQ(m.cancelled, want.cancelled);
+      EXPECT_EQ(m.deadline_exceeded, want.deadline_exceeded);
+      EXPECT_EQ(m.failed, want.failed);
+      EXPECT_EQ(m.submitted, m.completed + m.rejected + m.cancelled +
+                                 m.deadline_exceeded + m.failed);
+      // Every outcome happened (the blocker may finish before its cancel,
+      // so queue-full and cancellation are counted, not assumed).
+      EXPECT_GE(m.completed, 1);
+      EXPECT_GE(m.rejected, 1);
+      EXPECT_GE(m.cancelled, reps);
+      EXPECT_EQ(m.deadline_exceeded, reps);
+      EXPECT_EQ(m.failed, reps);
+      EXPECT_EQ(m.session_opened, reps);
+      EXPECT_EQ(m.session_appends, 2 * reps);
+      EXPECT_EQ(m.session_expires, reps);
+      EXPECT_EQ(m.session_queries, 2 * reps);
+      EXPECT_EQ(m.session_rebuilds, want.session_rebuilds);
+      EXPECT_GE(m.session_rebuilds, reps);
+      // Requests that reached a dispatcher; validation, fail-fast
+      // deadlines and queue-full rejections never do.
+      const std::int64_t dispatched =
+          m.submitted - m.failed - m.deadline_exceeded - m.rejected;
+      EXPECT_EQ(m.queue_wait.count, dispatched);
+      EXPECT_EQ(m.run_time.count, dispatched);
+    }
+
+    // The registry family is the sum of the two services.
+    const auto counter_delta = [&](const std::string& name) {
+      for (const auto& c : delta.counters) {
+        if (c.name == name) return c.value;
+      }
+      return std::int64_t{-1};
+    };
+    const std::pair<const char*, std::int64_t service::ServiceMetrics::*>
+        counters[] = {
+            {"submitted_total", &service::ServiceMetrics::submitted},
+            {"completed_total", &service::ServiceMetrics::completed},
+            {"rejected_total", &service::ServiceMetrics::rejected},
+            {"cancelled_total", &service::ServiceMetrics::cancelled},
+            {"deadline_exceeded_total",
+             &service::ServiceMetrics::deadline_exceeded},
+            {"failed_total", &service::ServiceMetrics::failed},
+            {"session_opened_total", &service::ServiceMetrics::session_opened},
+            {"session_append_total", &service::ServiceMetrics::session_appends},
+            {"session_expire_total", &service::ServiceMetrics::session_expires},
+            {"session_query_total", &service::ServiceMetrics::session_queries},
+            {"session_rebuilds_total",
+             &service::ServiceMetrics::session_rebuilds},
+        };
+    for (const auto& [suffix, field] : counters) {
+      const std::string name = std::string("fdbscan_service_") + suffix;
+      EXPECT_EQ(counter_delta(name), a.*field + b.*field) << name;
+    }
+    int histograms_checked = 0;
+    for (const auto& h : delta.histograms) {
+      service::LatencySummary service::ServiceMetrics::*field = nullptr;
+      if (h.name == "fdbscan_service_queue_wait") {
+        field = &service::ServiceMetrics::queue_wait;
+      } else if (h.name == "fdbscan_service_run_time") {
+        field = &service::ServiceMetrics::run_time;
+      }
+      if (field == nullptr) continue;
+      ++histograms_checked;
+      const service::LatencySummary& ha = a.*field;
+      const service::LatencySummary& hb = b.*field;
+      EXPECT_EQ(h.data.count, ha.count + hb.count) << h.name;
+      EXPECT_DOUBLE_EQ(static_cast<double>(h.data.total_ns) * 1e-6,
+                       ha.total_ms + hb.total_ms)
+          << h.name;
+      for (int i = 0; i < kHistogramBuckets; ++i) {
+        const auto k = static_cast<std::size_t>(i);
+        EXPECT_EQ(h.data.buckets[k], ha.buckets[k] + hb.buckets[k])
+            << h.name << " bucket " << i;
+      }
+    }
+    EXPECT_EQ(histograms_checked, 2);
+  }
+}
+
 TEST(ObsServiceMirror, ServiceSnapshotSerializes) {
   const auto points = shared_points(300, 31);
   service::ClusterService svc;
-  auto result = svc.submit<2>("snap", points, Parameters{0.05f, 5}).get();
+  auto result = svc.submit<2>("snap", points,
+                              RequestSpec{.params = {0.05f, 5}}).get();
   ASSERT_TRUE(result.has_value());
   svc.wait_idle();
   const service::ServiceSnapshot snap = svc.snapshot();
@@ -418,7 +687,8 @@ TEST(ObsRequestId, ServiceSpansCarryRidInTrace) {
     service::ClusterService svc;
     for (int i = 0; i < 3; ++i) {
       auto result =
-          svc.submit<2>("rid", points, Parameters{0.05f, 5 + i}).get();
+          svc.submit<2>("rid", points,
+                        RequestSpec{.params = {0.05f, 5 + i}}).get();
       ASSERT_TRUE(result.has_value());
     }
     svc.wait_idle();

@@ -131,9 +131,9 @@ TEST(ClusterService, SubmitMatchesDirectCluster) {
   ASSERT_TRUE(expected.has_value());
 
   ClusterService service;
-  SubmitOptions submit;
+  RequestSpec submit{.params = params};
   submit.method = Method::kFdbscan;
-  auto result = service.submit<2>("ds", points, params, submit).get();
+  auto result = service.submit<2>("ds", points, submit).get();
   ASSERT_TRUE(result.has_value());
   // Parallel labelings may differ border-point-wise run to run (see
   // test_thread_invariance.cpp); core-ness and partition are invariant.
@@ -151,11 +151,11 @@ TEST(ClusterService, WarmEngineSharedAcrossConcurrentSubmits) {
   config.queue_capacity = 32;
   ClusterService service(config);
 
-  SubmitOptions submit;
+  RequestSpec submit{.params = params};
   submit.method = Method::kFdbscan;  // point BVH: one build per dataset
   std::vector<std::future<ServiceResult>> futures;
   for (int i = 0; i < 8; ++i) {
-    futures.push_back(service.submit<2>("shared", points, params, submit));
+    futures.push_back(service.submit<2>("shared", points, submit));
   }
   std::vector<Clustering> results;
   for (auto& f : futures) {
@@ -185,8 +185,8 @@ TEST(ClusterService, DistinctDatasetsGetDistinctEngines) {
   const auto b = shared_points(3000, 2);
   const Parameters params{0.03f, 10};
   ClusterService service;
-  auto fa = service.submit<2>("a", a, params);
-  auto fb = service.submit<2>("b", b, params);
+  auto fa = service.submit<2>("a", a, RequestSpec{.params = params});
+  auto fb = service.submit<2>("b", b, RequestSpec{.params = params});
   EXPECT_TRUE(fa.get().has_value());
   EXPECT_TRUE(fb.get().has_value());
   service.wait_idle();
@@ -203,8 +203,10 @@ TEST(ClusterService, EnginePoolEvictsLeastRecentlyUsed) {
   ServiceConfig config;
   config.engine_capacity = 1;
   ClusterService service(config);
-  EXPECT_TRUE(service.submit<2>("a", a, params).get().has_value());
-  EXPECT_TRUE(service.submit<2>("b", b, params).get().has_value());
+  EXPECT_TRUE(service.submit<2>("a", a,
+      RequestSpec{.params = params}).get().has_value());
+  EXPECT_TRUE(service.submit<2>("b", b,
+      RequestSpec{.params = params}).get().has_value());
   service.wait_idle();
   const auto pool = service.pool_stats();
   EXPECT_EQ(pool.engines, 1);
@@ -219,7 +221,8 @@ TEST(ClusterService, EnginePoolEvictsLeastRecentlyUsed) {
 TEST(ClusterService, InvalidParametersFailAtSubmit) {
   const auto points = shared_points(100, 9);
   ClusterService service;
-  auto future = service.submit<2>("ds", points, Parameters{0.0f, 10});
+  auto future = service.submit<2>("ds", points,
+                                  RequestSpec{.params = {0.0f, 10}});
   // The future is ready immediately: rejection happened on this thread.
   ASSERT_EQ(future.wait_for(std::chrono::seconds(0)),
             std::future_status::ready);
@@ -232,7 +235,8 @@ TEST(ClusterService, InvalidParametersFailAtSubmit) {
 TEST(ClusterService, NullPointsFailAtSubmit) {
   ClusterService service;
   auto result =
-      service.submit<2>("ds", nullptr, Parameters{0.01f, 10}).get();
+      service.submit<2>("ds", nullptr,
+                        RequestSpec{.params = {0.01f, 10}}).get();
   ASSERT_FALSE(result.has_value());
   EXPECT_EQ(result.error().code, ErrorCode::kInternal);
 }
@@ -243,11 +247,13 @@ TEST(ClusterService, NonFinitePointsFailOnTheDispatcher) {
   (*bad)[500][1] = std::numeric_limits<float>::quiet_NaN();
   ClusterService service;
   const std::shared_ptr<const std::vector<Point2>> frozen = bad;
-  auto first = service.submit<2>("bad", frozen, Parameters{0.01f, 10}).get();
+  auto first = service.submit<2>("bad", frozen,
+                                 RequestSpec{.params = {0.01f, 10}}).get();
   ASSERT_FALSE(first.has_value());
   EXPECT_EQ(first.error().code, ErrorCode::kNonFinitePoint);
   // The failed scan must not mark the dataset validated.
-  auto second = service.submit<2>("bad", frozen, Parameters{0.01f, 10}).get();
+  auto second = service.submit<2>("bad", frozen,
+                                  RequestSpec{.params = {0.01f, 10}}).get();
   ASSERT_FALSE(second.has_value());
   EXPECT_EQ(second.error().code, ErrorCode::kNonFinitePoint);
   EXPECT_EQ(service.metrics().failed, 2);
@@ -266,9 +272,9 @@ TEST(ClusterService, FullQueueRejectsDeterministically) {
 
   // Occupy the single dispatcher with a long run we can cancel later.
   auto blocker_token = std::make_shared<CancelToken>();
-  SubmitOptions blocking;
+  RequestSpec blocking{.params = params};
   blocking.token = blocker_token;
-  auto blocker = service.submit<2>("blocker", big, params, blocking);
+  auto blocker = service.submit<2>("blocker", big, blocking);
   ASSERT_TRUE(wait_until(service, [](const ServiceMetrics& m) {
     return m.active == 1 && m.queued == 0;
   })) << "blocker never reached a dispatcher";
@@ -278,7 +284,8 @@ TEST(ClusterService, FullQueueRejectsDeterministically) {
   constexpr int kExtra = 5;
   std::vector<std::future<ServiceResult>> burst;
   for (int i = 0; i < config.queue_capacity + kExtra; ++i) {
-    burst.push_back(service.submit<2>("tiny", tiny, params));
+    burst.push_back(service.submit<2>("tiny", tiny,
+                                      RequestSpec{.params = params}));
   }
   int rejected = 0;
   int accepted = 0;
@@ -316,16 +323,16 @@ TEST(ClusterService, CancelQueuedRequestNeverRuns) {
   ClusterService service(config);
 
   auto blocker_token = std::make_shared<CancelToken>();
-  SubmitOptions blocking;
+  RequestSpec blocking{.params = params};
   blocking.token = blocker_token;
-  auto blocker = service.submit<2>("blocker", big, params, blocking);
+  auto blocker = service.submit<2>("blocker", big, blocking);
   ASSERT_TRUE(wait_until(
       service, [](const ServiceMetrics& m) { return m.active == 1; }));
 
   auto queued_token = std::make_shared<CancelToken>();
-  SubmitOptions cancellable;
+  RequestSpec cancellable{.params = params};
   cancellable.token = queued_token;
-  auto queued = service.submit<2>("victim", tiny, params, cancellable);
+  auto queued = service.submit<2>("victim", tiny, cancellable);
   queued_token->request_cancel();
   blocker_token->request_cancel();
 
@@ -347,10 +354,10 @@ TEST(ClusterService, CancelRunningRequestLeavesEngineReusable) {
   ASSERT_TRUE(expected.has_value());
 
   ClusterService service;
-  SubmitOptions submit;
+  RequestSpec submit{.params = params};
   submit.method = Method::kFdbscan;
   submit.token = std::make_shared<CancelToken>();
-  auto doomed = service.submit<2>("ds", points, params, submit);
+  auto doomed = service.submit<2>("ds", points, submit);
   wait_until(service, [](const ServiceMetrics& m) { return m.active >= 1; });
   submit.token->request_cancel();
   const auto result = doomed.get();
@@ -358,9 +365,9 @@ TEST(ClusterService, CancelRunningRequestLeavesEngineReusable) {
     EXPECT_EQ(result.error().code, ErrorCode::kCancelled);
   }
   // Same dataset, fresh request: the pooled engine survived the unwind.
-  SubmitOptions fresh;
+  RequestSpec fresh{.params = params};
   fresh.method = Method::kFdbscan;
-  const auto again = service.submit<2>("ds", points, params, fresh).get();
+  const auto again = service.submit<2>("ds", points, fresh).get();
   ASSERT_TRUE(again.has_value());
   const auto check = equivalent_clusterings(*points, params, *expected, *again);
   EXPECT_TRUE(check.ok) << check.message;
@@ -373,9 +380,9 @@ TEST(ClusterService, ZeroDeadlineFailsFastWithoutKernels) {
   const auto points = shared_points(10000, 14);
   ClusterService service;
   const exec::KernelProfileSnapshot before = exec::kernel_profile();
-  SubmitOptions strict;
+  RequestSpec strict{.params = {0.03f, 10}};
   strict.deadline_ms = 0.0;
-  auto future = service.submit<2>("ds", points, Parameters{0.03f, 10}, strict);
+  auto future = service.submit<2>("ds", points, strict);
   ASSERT_EQ(future.wait_for(std::chrono::seconds(0)),
             std::future_status::ready);
   const auto result = future.get();
@@ -389,10 +396,10 @@ TEST(ClusterService, ZeroDeadlineFailsFastWithoutKernels) {
 TEST(ClusterService, DeadlineExpiresMidRun) {
   const auto points = shared_points(200000, 15);
   ClusterService service;
-  SubmitOptions strict;
+  RequestSpec strict{.params = {0.05f, 10}};
   strict.deadline_ms = 2.0;  // far below this run's wall time
   const auto result =
-      service.submit<2>("ds", points, Parameters{0.05f, 10}, strict).get();
+      service.submit<2>("ds", points, strict).get();
   ASSERT_FALSE(result.has_value());
   EXPECT_EQ(result.error().code, ErrorCode::kDeadlineExceeded);
   EXPECT_EQ(service.metrics().deadline_exceeded, 1);
@@ -409,11 +416,11 @@ TEST(ClusterService, TokenReuseAfterDeadlineIsNotCancelledByStaleEntry) {
   const Parameters params{0.03f, 10};
   ClusterService service;
   auto token = std::make_shared<CancelToken>();
-  SubmitOptions with_deadline;
+  RequestSpec with_deadline{.params = params};
   with_deadline.deadline_ms = 300.0;
   with_deadline.token = token;
   ASSERT_TRUE(
-      service.submit<2>("ds", points, params, with_deadline).get().has_value());
+      service.submit<2>("ds", points, with_deadline).get().has_value());
   ASSERT_FALSE(token->cancelled());
 
   token->reset();
@@ -423,9 +430,9 @@ TEST(ClusterService, TokenReuseAfterDeadlineIsNotCancelledByStaleEntry) {
   EXPECT_FALSE(token->cancelled())
       << "stale watchdog deadline cancelled a reset token";
 
-  SubmitOptions reuse;
+  RequestSpec reuse{.params = params};
   reuse.token = token;  // no deadline this time
-  const auto result = service.submit<2>("ds", points, params, reuse).get();
+  const auto result = service.submit<2>("ds", points, reuse).get();
   ASSERT_TRUE(result.has_value());
   EXPECT_FALSE(token->cancelled());
   service.wait_idle();
@@ -445,26 +452,26 @@ TEST(ClusterService, ZeroDeadlineDoesNotPoisonCallersSharedToken) {
   ClusterService service;
   auto shared_token = std::make_shared<CancelToken>();
 
-  SubmitOptions expired;
+  RequestSpec expired{.params = params};
   expired.deadline_ms = 0.0;
   expired.token = shared_token;
-  const auto rejected = service.submit<2>("ds", points, params, expired).get();
+  const auto rejected = service.submit<2>("ds", points, expired).get();
   ASSERT_FALSE(rejected.has_value());
   EXPECT_EQ(rejected.error().code, ErrorCode::kDeadlineExceeded);
   EXPECT_FALSE(shared_token->cancelled())
       << "fast-fail poisoned a caller-owned token";
 
   // A sibling request sharing the token still completes.
-  SubmitOptions sibling;
+  RequestSpec sibling{.params = params};
   sibling.token = shared_token;
-  EXPECT_TRUE(service.submit<2>("ds", points, params, sibling).get().has_value());
+  EXPECT_TRUE(service.submit<2>("ds", points, sibling).get().has_value());
 
   // The service-private case still fails fast the same way (nothing to
   // observe about the token; the error and the metrics are the contract).
-  SubmitOptions private_expired;
+  RequestSpec private_expired{.params = params};
   private_expired.deadline_ms = -1.0;
   const auto rejected2 =
-      service.submit<2>("ds", points, params, private_expired).get();
+      service.submit<2>("ds", points, private_expired).get();
   ASSERT_FALSE(rejected2.has_value());
   EXPECT_EQ(rejected2.error().code, ErrorCode::kDeadlineExceeded);
 
@@ -484,9 +491,9 @@ TEST(ClusterService, ShardedExecutorCacheIsBoundedWithEvictionsCounted) {
   const Parameters params{0.03f, 10};
   ClusterService service;
   auto run_sharded = [&](std::int32_t shards) {
-    SubmitOptions submit;
+    RequestSpec submit{.params = params};
     submit.shards = shards;
-    return service.submit<2>("ds", points, params, submit).get();
+    return service.submit<2>("ds", points, submit).get();
   };
   ASSERT_TRUE(run_sharded(2).has_value());
   ASSERT_TRUE(run_sharded(3).has_value());
@@ -518,10 +525,10 @@ TEST(ClusterService, ShardedExecutorCacheIsBoundedWithEvictionsCounted) {
 TEST(ClusterService, GenerousDeadlineDoesNotFire) {
   const auto points = shared_points(2000, 16);
   ClusterService service;
-  SubmitOptions relaxed;
+  RequestSpec relaxed{.params = {0.03f, 10}};
   relaxed.deadline_ms = 60000.0;
   const auto result =
-      service.submit<2>("ds", points, Parameters{0.03f, 10}, relaxed).get();
+      service.submit<2>("ds", points, relaxed).get();
   EXPECT_TRUE(result.has_value());
   EXPECT_EQ(service.metrics().deadline_exceeded, 0);
 }
@@ -538,13 +545,15 @@ TEST(ClusterService, ShutdownResolvesQueuedFuturesAsCancelled) {
     ServiceConfig config;
     config.dispatchers = 1;
     ClusterService service(config);
-    SubmitOptions blocking;
+    RequestSpec blocking{.params = params};
     blocking.token = blocker_token;
-    queued.push_back(service.submit<2>("blocker", big, params, blocking));
+    queued.push_back(service.submit<2>("blocker", big, blocking));
     ASSERT_TRUE(wait_until(
         service, [](const ServiceMetrics& m) { return m.active == 1; }));
-    queued.push_back(service.submit<2>("q1", tiny, params));
-    queued.push_back(service.submit<2>("q2", tiny, params));
+    queued.push_back(service.submit<2>("q1", tiny,
+                                       RequestSpec{.params = params}));
+    queued.push_back(service.submit<2>("q2", tiny,
+                                       RequestSpec{.params = params}));
     blocker_token->request_cancel();  // let the dtor join promptly
   }
   // Destructor ran: every future must be resolved, queued ones cancelled.
@@ -562,12 +571,14 @@ TEST(ClusterService, TerminalCountsPartitionSubmitted) {
   const auto points = shared_points(2000, 20);
   const Parameters params{0.03f, 10};
   ClusterService service;
-  EXPECT_TRUE(service.submit<2>("ds", points, params).get().has_value());
+  EXPECT_TRUE(service.submit<2>("ds", points,
+      RequestSpec{.params = params}).get().has_value());
   EXPECT_FALSE(
-      service.submit<2>("ds", points, Parameters{-1.0f, 10}).get().has_value());
-  SubmitOptions strict;
+      service.submit<2>("ds", points,
+                        RequestSpec{.params = {-1.0f, 10}}).get().has_value());
+  RequestSpec strict{.params = params};
   strict.deadline_ms = 0.0;
-  EXPECT_FALSE(service.submit<2>("ds", points, params, strict).get().has_value());
+  EXPECT_FALSE(service.submit<2>("ds", points, strict).get().has_value());
   service.wait_idle();
   const ServiceMetrics m = service.metrics();
   EXPECT_EQ(m.submitted, 3);
@@ -582,7 +593,8 @@ TEST(ClusterService, LatencyHistogramsCoverEveryDispatch) {
   const Parameters params{0.03f, 10};
   ClusterService service;
   for (int i = 0; i < 4; ++i) {
-    EXPECT_TRUE(service.submit<2>("ds", points, params).get().has_value());
+    EXPECT_TRUE(service.submit<2>("ds", points,
+        RequestSpec{.params = params}).get().has_value());
   }
   service.wait_idle();
   const ServiceMetrics m = service.metrics();

@@ -1,8 +1,8 @@
 // Streaming sessions through ClusterService (service/service.h §14):
 // open/append/expire/query ordering and equivalence, the engine-pool Pin
 // under eviction pressure, per-op deadlines and cancellation, the
-// kTokenBusy admission guard, the RequestSpec/SubmitOptions shim, and
-// the session capacity / invalid-session / failed-open error paths.
+// kTokenBusy admission guard, RequestSpec validation, and the session
+// capacity / invalid-session / failed-open error paths.
 #include "service/service.h"
 
 #include <gtest/gtest.h>
@@ -35,28 +35,7 @@ std::shared_ptr<const std::vector<Point2>> shared_slice(
       points.begin() + static_cast<std::ptrdiff_t>(hi));
 }
 
-// --- RequestSpec / SubmitOptions shim ------------------------------------
-
-TEST(RequestSpecSubmit, SpecAndLegacyShimProduceTheSameResult) {
-  ClusterService service(ServiceConfig{.dispatchers = 2});
-  const auto points = std::make_shared<const std::vector<Point2>>(
-      fdbscan::testing::clustered_points<2>(2000, 5, 1.0f, 0.02f, 3));
-  RequestSpec spec;
-  spec.params = Parameters{0.05f, 5};
-  spec.method = Method::kFdbscan;
-  auto via_spec = service.submit<2>("d", points, spec);
-  SubmitOptions legacy;
-  legacy.method = Method::kFdbscan;
-  auto via_legacy =
-      service.submit<2>("d", points, Parameters{0.05f, 5}, legacy);
-  const ServiceResult a = via_spec.get();
-  const ServiceResult b = via_legacy.get();
-  ASSERT_TRUE(a.has_value()) << a.error().message;
-  ASSERT_TRUE(b.has_value()) << b.error().message;
-  EXPECT_EQ(a->num_clusters, b->num_clusters);
-  EXPECT_EQ(a->labels, b->labels);
-  EXPECT_EQ(a->is_core, b->is_core);
-}
+// --- RequestSpec validation ---------------------------------------------
 
 TEST(RequestSpecSubmit, SharedValidationRejectsBadScalars) {
   ClusterService service(ServiceConfig{.dispatchers = 1});

@@ -417,9 +417,9 @@ TEST(ServiceSharded, SubmitOverrideMatchesSingleEngine) {
   ASSERT_TRUE(expected.has_value());
 
   service::ClusterService service;
-  service::SubmitOptions submit;
+  RequestSpec submit{.params = params};
   submit.shards = 4;
-  auto result = service.submit<2>("ds", points, params, submit).get();
+  auto result = service.submit<2>("ds", points, submit).get();
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result->num_shards, 4);
   EXPECT_GT(result->shard_ghosts, 0);
@@ -436,14 +436,15 @@ TEST(ServiceSharded, ConfigDefaultAppliesWhenSubmitLeavesZero) {
   service::ServiceConfig config;
   config.shards = 2;
   service::ClusterService service(config);
-  auto result = service.submit<2>("ds", points, params).get();
+  auto result = service.submit<2>("ds", points,
+                                  RequestSpec{.params = params}).get();
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result->num_shards, 2);
 
   // An explicit shards=1 overrides the config back to single-engine.
-  service::SubmitOptions single;
+  RequestSpec single{.params = params};
   single.shards = 1;
-  auto direct = service.submit<2>("ds", points, params, single).get();
+  auto direct = service.submit<2>("ds", points, single).get();
   ASSERT_TRUE(direct.has_value());
   EXPECT_EQ(direct->num_shards, 0);
 }
@@ -451,10 +452,10 @@ TEST(ServiceSharded, ConfigDefaultAppliesWhenSubmitLeavesZero) {
 TEST(ServiceSharded, NegativeShardsRejectedAtSubmit) {
   const auto points = shared_points(100, 621);
   service::ClusterService service;
-  service::SubmitOptions submit;
+  RequestSpec submit{.params = {0.05f, 5}};
   submit.shards = -1;
   auto result =
-      service.submit<2>("ds", points, Parameters{0.05f, 5}, submit).get();
+      service.submit<2>("ds", points, submit).get();
   ASSERT_FALSE(result.has_value());
   EXPECT_EQ(result.error().code, ErrorCode::kInvalidShards);
   EXPECT_GE(service.metrics().failed, 1);
@@ -477,10 +478,10 @@ TEST(ServiceSharded, CancelMidShardLeavesPoolReusable) {
   service::ClusterService service;
 
   auto token = std::make_shared<exec::CancelToken>();
-  service::SubmitOptions submit;
+  RequestSpec submit{.params = params};
   submit.shards = 4;
   submit.token = token;
-  auto cancelled = service.submit<2>("ds", points, params, submit);
+  auto cancelled = service.submit<2>("ds", points, submit);
   // Let the request reach the dispatcher, then cancel mid-run. Even if
   // the cancel lands before the run starts, the request still resolves
   // to kCancelled and the engine stays reusable — the interesting
@@ -491,9 +492,9 @@ TEST(ServiceSharded, CancelMidShardLeavesPoolReusable) {
   ASSERT_FALSE(result.has_value());
   EXPECT_EQ(result.error().code, ErrorCode::kCancelled);
 
-  service::SubmitOptions retry;
+  RequestSpec retry{.params = params};
   retry.shards = 4;
-  auto good = service.submit<2>("ds", points, params, retry).get();
+  auto good = service.submit<2>("ds", points, retry).get();
   ASSERT_TRUE(good.has_value());
   const auto expected = cluster(*points, params, {}, Method::kFdbscan);
   ASSERT_TRUE(expected.has_value());
@@ -507,18 +508,17 @@ TEST(ServiceSharded, CancelMidShardLeavesPoolReusable) {
 TEST(ServiceSharded, DeadlineMidShardResolvesDeadlineExceeded) {
   const auto points = shared_points(60000, 623);
   service::ClusterService service;
-  service::SubmitOptions submit;
+  RequestSpec submit{.params = {0.05f, 10}};
   submit.shards = 4;
   submit.deadline_ms = 1.0;
   auto result =
-      service.submit<2>("ds", points, Parameters{0.05f, 10}, submit).get();
+      service.submit<2>("ds", points, submit).get();
   if (!result.has_value()) {
     EXPECT_EQ(result.error().code, ErrorCode::kDeadlineExceeded);
   }
   // Pool must stay reusable either way.
   auto good =
-      service.submit<2>("ds", points, Parameters{0.03f, 10},
-                        service::SubmitOptions{})
+      service.submit<2>("ds", points, RequestSpec{.params = {0.03f, 10}})
           .get();
   EXPECT_TRUE(good.has_value());
 }

@@ -36,13 +36,6 @@ Usage:
                        across the worker x shard sweep, with multi-shard
                        runs present and a nonzero halo volume so the
                        gate cannot pass vacuously
-  bench_compare.py --gate-obs FILE [...]           check the obs-registry
-                       mirror (DESIGN.md §13): every entry carrying both
-                       a "service" and an "obs" block must agree bit-equal
-                       on their shared keys (the registry mirror and the
-                       service's own atomics are fed the same integers);
-                       zero such entries or zero shared keys fails — a
-                       vacuous match is a broken gate
   bench_compare.py --gate-simd SCALAR.json SIMD.json
                        check that the vectorized backend does not lose to
                        the scalar one: over name-matched fdbscan /
@@ -156,6 +149,8 @@ def validate(doc, path="<doc>"):
             for sname, sval in e["service"].items():
                 _expect(isinstance(sval, (int, float)),
                         f"{where}: service.{sname!r} is not a number")
+        # Telemetry recorded before the service metrics rolled up into
+        # the registry carries an "obs" block of registry deltas.
         if "obs" in e:
             _expect(isinstance(e["obs"], dict),
                     f"{where}: obs must be an object")
@@ -330,44 +325,6 @@ def gate_shards(doc, path):
             f"{path}: no entries carry a shards_checked counter — the shard "
             "gate is vacuous (did service_throughput drop its "
             "sharded_equivalence entry?)")
-    return violations, checked
-
-
-def gate_obs(doc, path):
-    """Single-file gate over the obs-registry mirror (DESIGN.md §13),
-    applied to every entry carrying both a "service" and an "obs" block:
-    the two must agree bit-equal on every shared key. The service's own
-    atomics and the registry mirror are incremented with the identical
-    integers at the identical sites (ObsMirror in service/service.h), and
-    the bench derives both blocks' ms values with the same int64-ns ->
-    double conversion — so ANY difference, however small, means a mirror
-    site was dropped or double-counted.
-
-    Zero dual-block entries, or an entry pair sharing zero keys, is
-    itself a violation — a vacuous match is a broken gate."""
-    violations = []
-    checked = 0
-    for e in doc["entries"]:
-        if e.get("error") or "service" not in e or "obs" not in e:
-            continue
-        checked += 1
-        name, s, o = e["name"], e["service"], e["obs"]
-        shared = sorted(set(s) & set(o))
-        if not shared:
-            violations.append(
-                f"{name}: service and obs blocks share no keys — the "
-                "cross-check compared nothing")
-            continue
-        for key in shared:
-            if s[key] != o[key]:
-                violations.append(
-                    f"{name}: {key} disagrees — service={s[key]:g}, "
-                    f"obs registry delta={o[key]:g}")
-    if checked == 0:
-        violations.append(
-            f"{path}: no entries carry both a service and an obs block — "
-            "the obs gate is vacuous (did the bench stop staging the "
-            "registry delta?)")
     return violations, checked
 
 
@@ -601,11 +558,6 @@ def main(argv):
                         help="single-file mode: check the sharding "
                              "contract over entries carrying a "
                              "shards_checked counter (DESIGN.md §11)")
-    parser.add_argument("--gate-obs", action="store_true",
-                        help="single-file mode: check that entries carrying "
-                             "both a service and an obs block agree "
-                             "bit-equal on their shared keys (the obs "
-                             "registry mirror, DESIGN.md §13)")
     parser.add_argument("--gate-stream", action="store_true",
                         help="single-file mode: check the streaming-"
                              "session contract over entries carrying a "
@@ -688,19 +640,6 @@ def main(argv):
             print("ok: shard contract holds (sharded labels match the "
                   "single-engine reference across the worker x shard "
                   "sweep, with nonzero halo volume)")
-            return 0
-        if args.gate_obs:
-            violations = []
-            for path in args.files:
-                file_violations, checked = gate_obs(load(path), path)
-                violations.extend(file_violations)
-                print(f"{path}: {checked} dual-block entries checked")
-            for v in violations:
-                print(f"FAIL: {v}", file=sys.stderr)
-            if violations:
-                return 1
-            print("ok: obs registry mirror matches service metrics "
-                  "bit-equal on all shared keys")
             return 0
         if args.gate_stream:
             violations = []
