@@ -30,9 +30,10 @@
 #
 # stream_throughput (in STREAM_BENCHES) is gated on the streaming-session
 # contract (--gate-stream): every sliding-window query equivalent to a
-# from-scratch run over the live set, every query after an expiry doing
-# exactly that run's distance computations, and warm sub-threshold
-# appends rebuilding nothing.
+# from-scratch cluster() over the live set, every query after an expiry
+# doing exactly that run's distance computations, at least one window
+# reclustering with DenseBox, and warm sub-threshold appends rebuilding
+# nothing.
 #
 # Then run fig4_nsweep once more with the observability plane fully lit
 # (FDBSCAN_LOG to a file at debug level): counters must stay bit-exact
@@ -78,9 +79,9 @@ set(SHARD_BENCHES service_throughput)
 
 # Benches carrying streaming-session entries: gated on the stream
 # contract (tools/bench_compare.py --gate-stream) — every streamed query
-# equivalent to a from-scratch run over the live set, queries after an
-# expiry doing that run's exact work, warm sub-threshold appends
-# rebuilding nothing.
+# equivalent to a from-scratch cluster() over the live set, queries after
+# an expiry doing that run's exact work, a DenseBox recluster in at least
+# one window, warm sub-threshold appends rebuilding nothing.
 set(STREAM_BENCHES stream_throughput)
 
 file(MAKE_DIRECTORY ${WORK_DIR})

@@ -4,17 +4,22 @@
 //   sliding_window/{ngsim,porto,hacc}  a sliding window replayed over a
 //                generator stream: every step expires the oldest prefix,
 //                inserts the next batch and queries; each query's labels
-//                must be equivalent to a from-scratch run over the live
-//                set (stream_equiv_failures == 0), and every query that
-//                follows an expiry must do exactly the work of that
-//                from-scratch run — it reclusters the compacted window
-//                with Engine::run (expiry_queries > 0,
-//                expiry_work_mismatches == 0).
+//                must be equivalent to cluster(live, params), the
+//                from-scratch run of the stream's own (default kAuto)
+//                method (stream_equiv_failures == 0), and every query
+//                that follows an expiry must do exactly that run's work —
+//                it reclusters the compacted window through the same
+//                dispatch (expiry_queries > 0, expiry_work_mismatches ==
+//                0). densebox_reclusters counts the reclusters kAuto
+//                resolved to DenseBox; the gate requires it > 0 on at
+//                least one entry (at the smoke scale ngsim and porto
+//                resolve to DenseBox, hacc to FDBSCAN).
 //   warm_append  the zero-rebuild amortization claim: after the lazy
 //                initial build, sub-threshold appends are absorbed into
-//                the incremental union-find against the side buffer and
-//                every query reports timings.index_rebuilds == 0
-//                (warm_query_rebuilds == 0).
+//                the incremental union-find against the index of the
+//                initial recluster (a DenseBox bundle on this dense
+//                seed) plus the side buffer, and every query reports
+//                timings.index_rebuilds == 0 (warm_query_rebuilds == 0).
 //
 // The equivalence verdicts, work counters and rebuild counts derive from
 // the bit-deterministic core flags and traversals
@@ -31,7 +36,7 @@
 #include <vector>
 
 #include "common.h"
-#include "core/fdbscan.h"
+#include "core/cluster.h"
 #include "core/validate.h"
 #include "data/generators.h"
 #include "data/sliding_window.h"
@@ -44,7 +49,7 @@ using namespace fdbscan::bench;
 
 /// Replays `arrivals` through a SlidingWindow-driven StreamingEngine and
 /// stages the gate counters: every step's query is checked against a
-/// from-scratch fdbscan() over the live set, and every query that
+/// from-scratch cluster() over the live set, and every query that
 /// follows an expiry must match that run's distance computations.
 template <int DIM>
 void run_sliding_window(benchmark::State& state,
@@ -63,7 +68,7 @@ void run_sliding_window(benchmark::State& state,
     engine.insert(step.batch);
     const Clustering streamed = engine.query();
     const std::vector<Point<DIM>> live = driver.live_points();
-    const Clustering reference = fdbscan::fdbscan(live, params);
+    const Clustering reference = *fdbscan::cluster(live, params);
     if (!equivalent_clusterings(live, params, reference, streamed).ok) {
       ++failures;
     }
@@ -90,6 +95,8 @@ void run_sliding_window(benchmark::State& state,
   state.counters["refinalized_queries"] =
       static_cast<double>(c.refinalized_queries);
   state.counters["full_refreshes"] = static_cast<double>(c.full_refreshes);
+  state.counters["densebox_reclusters"] =
+      static_cast<double>(c.densebox_reclusters);
 }
 
 void register_all() {
@@ -145,7 +152,7 @@ void register_all() {
           ++warm_checked;
           warm_rebuilds += streamed.timings.index_rebuilds;
           const std::vector<Point2> live = engine.live_points();
-          const Clustering reference = fdbscan::fdbscan(live, params);
+          const Clustering reference = *fdbscan::cluster(live, params);
           if (!equivalent_clusterings(live, params, reference, streamed).ok) {
             ++failures;
           }
@@ -166,6 +173,8 @@ void register_all() {
             static_cast<double>(c.incremental_inserts);
         state.counters["refinalized_queries"] =
             static_cast<double>(c.refinalized_queries);
+        state.counters["densebox_reclusters"] =
+            static_cast<double>(c.densebox_reclusters);
       });
 }
 

@@ -58,6 +58,19 @@ struct EngineConfig {
   exec::MemoryTracker* memory = nullptr;
 };
 
+/// One DenseBox index bundle (§4.2): the dense grid, the BVH over mixed
+/// primitives — primitive ids [0, grid.num_dense_cells()) are dense-cell
+/// boxes (tight member bounds), the rest are isolated points — and the
+/// point id of each isolated primitive (isolated_ids[pid - num_cells]).
+/// Dense-cell members are grid.permutation()[cell.begin, cell.end), with
+/// coordinates in grid.member_axes() at the same positions.
+template <int DIM>
+struct DenseBoxIndex {
+  DenseGrid<DIM> grid;
+  Bvh<DIM> bvh;
+  std::vector<std::int32_t> isolated_ids;
+};
+
 /// Cumulative amortization counters since engine construction.
 struct EngineCounters {
   std::int64_t runs = 0;             ///< clustering runs executed
@@ -134,6 +147,17 @@ class Engine {
   /// kernels itself over per-shard engines and needs the raw index; the
   /// returned reference stays valid for the engine's lifetime.
   [[nodiscard]] const Bvh<DIM>& index() { return ensure_bvh(); }
+
+  /// The cached DenseBox bundle run_densebox(params, options) clusters
+  /// over, built on a cache miss (counted in counters().index_builds and
+  /// grid_builds exactly like run_densebox()'s index phase; a hit counts
+  /// in grid_cache_hits). The streaming engine (stream/streaming_engine.h)
+  /// probes it between reclusters. The reference stays valid until the
+  /// bundle is evicted by builds of other configurations.
+  [[nodiscard]] const DenseBoxIndex<DIM>& densebox_index(
+      const Parameters& params, const Options& options = {}) {
+    return ensure_grid(params, options).index;
+  }
 
   /// FDBSCAN (§4.1) over the engine's points. Bit-identical to
   /// fdbscan(points, params, options) at any worker count; the index
@@ -274,12 +298,12 @@ class Engine {
     // --- Index: grid + BVH over mixed primitives, cached ------------------
     // The entry reference stays valid through the run: one run at a time
     // per engine, and only this phase touches the cache.
-    const GridEntry& entry = ensure_grid(params, options);
+    const DenseBoxIndex<DIM>& index = densebox_index(params, options);
     timings.index_construction =
         timer.lap("densebox/index", &timings.index_construction_profile);
-    const DenseGrid<DIM>& grid = entry.grid;
-    const Bvh<DIM>& bvh = entry.bvh;
-    const std::vector<std::int32_t>& isolated_ids = entry.isolated_ids;
+    const DenseGrid<DIM>& grid = index.grid;
+    const Bvh<DIM>& bvh = index.bvh;
+    const std::vector<std::int32_t>& isolated_ids = index.isolated_ids;
     const std::int32_t num_cells = grid.num_dense_cells();
     const auto& cells = grid.cells();
     const auto& perm = grid.permutation();
@@ -500,9 +524,7 @@ class Engine {
     float width_factor;
     std::int32_t minpts;      // dense-cell threshold: max(params.minpts, 1)
     std::uint64_t last_use;   // LRU stamp
-    DenseGrid<DIM> grid;
-    Bvh<DIM> bvh;             // over dense-cell boxes + isolated points
-    std::vector<std::int32_t> isolated_ids;
+    DenseBoxIndex<DIM> index;
     std::size_t tracked_bytes;
   };
 
@@ -669,8 +691,10 @@ class Engine {
 
     grid_cache_.push_back(std::make_unique<GridEntry>(GridEntry{
         params.eps, options.densebox_cell_width_factor, minpts_for_dense,
-        ++use_clock_, std::move(grid), std::move(bvh),
-        std::move(isolated_ids), tracked_bytes}));
+        ++use_clock_,
+        DenseBoxIndex<DIM>{std::move(grid), std::move(bvh),
+                           std::move(isolated_ids)},
+        tracked_bytes}));
     return *grid_cache_.back();
   }
 

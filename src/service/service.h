@@ -32,8 +32,9 @@
 // ride the same queue, dispatchers, watchdog, request ids and metrics as
 // one-shot submits; per session they execute strictly in submission
 // order (a ticket protocol across dispatchers), so a query observes
-// exactly the mutations enqueued before it. Query parameters are pinned
-// at open (that is what makes incremental maintenance sound); per-op
+// exactly the mutations enqueued before it. Query parameters and method
+// are pinned at open (that is what makes incremental maintenance sound;
+// every recluster dispatches the method like cluster() does); per-op
 // deadlines and tokens still apply.
 //
 // Dispatch: every request runs on the dispatcher that dequeued it —
@@ -105,8 +106,9 @@ struct ServiceConfig {
   /// Session rebuild threshold as a percentage: a session's streaming
   /// engine compacts its storage when pending work (live delta points +
   /// retired slots) exceeds this percent of the live set. The index is
-  /// rebuilt there only while the union-find is valid (append-only
-  /// growth); after an expiry the next query's recluster builds it.
+  /// rebuilt there only where the next query absorbs (append-only
+  /// growth), of the kind the session's last recluster clustered over;
+  /// after an expiry the next query's recluster builds it.
   /// Env: FDBSCAN_SESSION_REBUILD_PCT.
   std::int32_t session_rebuild_pct = 25;
   /// Always false: requests run fork-join on their dispatcher and there
@@ -148,8 +150,8 @@ struct ServiceMetrics {
   std::int64_t active = 0;             ///< requests inside a dispatcher
   /// Streaming-session traffic (DESIGN.md §14). Session operations also
   /// count in the request totals above; these break them out, and
-  /// session_rebuilds totals the Morton re-sort + BVH rebuilds their
-  /// streaming engines performed.
+  /// session_rebuilds totals the index builds (point BVH or DenseBox
+  /// bundle) their streaming engines performed.
   std::int64_t sessions_open = 0;      ///< instantaneous open sessions
   std::int64_t session_opened = 0;     ///< sessions ever opened
   std::int64_t session_appends = 0;    ///< append operations completed
@@ -529,7 +531,9 @@ class ClusterService {
 
   /// Open a streaming session on `dataset_id`, seeded with `points`
   /// (sequence numbers [0, points.size())). The spec — params, options,
-  /// single-engine method — is pinned for the session's lifetime; its
+  /// single-engine method — is pinned for the session's lifetime: every
+  /// recluster runs spec.method the way cluster() would (kAuto resolving
+  /// per recluster), and appends absorb against that run's index. Its
   /// deadline/token govern the open operation itself. Scalar validation
   /// and the session-table capacity check happen here (immediate error);
   /// the O(n) scan, the pool pin and the streaming-engine construction
@@ -577,7 +581,7 @@ class ClusterService {
       stream::StreamConfig sc;
       sc.rebuild_fraction = rebuild_fraction;
       s.stream = std::make_shared<stream::StreamingEngine<DIM>>(
-          *points, s.spec.params, s.spec.options, sc);
+          *points, s.spec.params, s.spec.options, s.spec.method, sc);
       s.query_fn = [](void* p) {
         return static_cast<stream::StreamingEngine<DIM>*>(p)->query();
       };

@@ -6,7 +6,7 @@
 // expire(before_seq) retires the oldest prefix (the sliding-window
 // pattern of trajectory workloads). The structures:
 //
-//   * base_   — points covered by the point BVH of an inner Engine
+//   * base_   — points covered by the index of an inner Engine
 //     (core/engine.h), in sequence order; never mutated in place.
 //   * delta_  — the side buffer: points appended since the last
 //     compaction, mirrored into a padded SoA so membership probes run
@@ -18,27 +18,39 @@
 // Mutations do no clustering work: insert() appends to the delta and
 // expire() advances the cursor. A query does one of two things:
 //
-//   * Recluster (first query, any expiry since the last query, or a
-//     cancelled query): compact the live set into the base unless it
-//     already is exactly the base, and return Engine::run over it — the
-//     one-shot Morton-ordered, masked two-phase path, so labels, core
-//     flags and work counters are those of fdbscan(live_points()). The
+//   * Recluster (first query, any expiry since the last query, a
+//     cancelled query, or more unabsorbed than absorbed points): compact
+//     the live set into the base unless it already is exactly the base,
+//     and cluster it with the method pinned at construction, dispatched
+//     like cluster(): kFdbscan runs Engine::run, kDensebox
+//     Engine::run_densebox, and kAuto resolves per recluster through
+//     fdbscan_auto on the compacted base (same estimator, same
+//     threshold). Labels, core flags and work counters are therefore
+//     those of cluster(live_points(), params, options, method). The
 //     session state (core flags, a union-find rooted at core members) is
-//     rebuilt from that result.
+//     rebuilt from that result, and the stream remembers which index the
+//     recluster used.
 //   * Absorb (append-only growth since the last query): the
 //     Wang/Gu/Shun-style incremental union-find. Every batch appended
 //     since the last query is folded into the persistent union-find in
 //     one pass over the new logical ids: counts of existing neighbors
 //     are bumped atomically, points whose count crosses minpts flip to
 //     core and get their edge lists reprocessed, then flatten + finalize.
-//     Probes are the union of a traversal of the base BVH and a
-//     lane-group scan of the delta.
+//     Probes are the union of a walk of the last recluster's base index
+//     and a lane-group scan of the delta. The base index is the point
+//     BVH after an FDBSCAN recluster; after a DenseBox one it is the
+//     cached mixed BVH, whose dense cells are scanned member by member
+//     over the grid's SoA span (exec/simd.h for_each_within).
+//
+// Large appends: absorbing costs a full neighbor enumeration per new
+// point, so once the unabsorbed points outnumber the absorbed ones the
+// query reclusters instead — a fixed rule, not a knob.
 //
 // Rebuild policy: a mutation that leaves pending work (live delta +
 // retired prefix) above StreamConfig::rebuild_fraction of the live set
-// compacts storage. While the union-find is valid the Morton re-sort +
-// BVH build is paid there too, so appends keep absorbing against a warm
-// index; with a stale union-find the next query's recluster builds it.
+// compacts storage. Where the next query absorbs, the index build of the
+// last recluster's kind is paid there too, so appends keep absorbing
+// against a warm index; otherwise the next query's recluster builds it.
 //
 // Either way labels are equivalent (up to cluster renumbering and the
 // usual border-claim freedom) and core flags are bit-identical to
@@ -63,8 +75,10 @@
 #include <vector>
 
 #include "bvh/bvh.h"
+#include "core/auto_select.h"
 #include "core/clustering.h"
 #include "core/engine.h"
+#include "core/request.h"
 #include "exec/cancel.h"
 #include "exec/per_thread.h"
 #include "exec/profile.h"
@@ -76,8 +90,8 @@
 namespace fdbscan::stream {
 
 struct StreamConfig {
-  /// Rebuild threshold: a mutation compacts storage (and, while the
-  /// union-find is valid, pays the Morton re-sort + BVH build) when
+  /// Rebuild threshold: a mutation compacts storage (and, where the next
+  /// query absorbs, pays the build of the last recluster's index) when
   /// (live delta points + retired slots) exceeds this fraction of the
   /// live point count. Env (service sessions):
   /// FDBSCAN_SESSION_REBUILD_PCT.
@@ -94,33 +108,41 @@ struct StreamCounters {
   std::int64_t expires = 0;          ///< expire() calls retiring >= 1 point
   std::int64_t points_expired = 0;
   std::int64_t queries = 0;
-  /// BVH constructions: one per reclustering query over a compacted
-  /// base, plus every eager build of an append-only compaction.
+  /// Index constructions (point BVH or DenseBox bundle): one per
+  /// reclustering query over a freshly compacted base, plus every eager
+  /// build of an append-only compaction.
   std::int64_t index_rebuilds = 0;
   std::int64_t compactions = 0;  ///< live set moved into a fresh base
   /// Batches absorbed into a valid union-find at query time.
   std::int64_t incremental_inserts = 0;
-  std::int64_t full_refreshes = 0;   ///< reclustering queries (Engine::run)
+  std::int64_t full_refreshes = 0;   ///< reclustering queries
+  /// Reclustering queries that ran FDBSCAN-DenseBox (kDensebox, or kAuto
+  /// resolved to it).
+  std::int64_t densebox_reclusters = 0;
   std::int64_t refinalized_queries = 0;  ///< queries served by absorb + finalize
 };
 
 template <int DIM>
 class StreamingEngine {
  public:
-  /// Query parameters are pinned per streaming engine: the incremental
-  /// union-find state is only meaningful for one (eps, minpts, variant).
+  /// Query parameters and method are pinned per streaming engine: the
+  /// incremental union-find state is only meaningful for one (eps,
+  /// minpts, variant), and every recluster dispatches `method` like
+  /// cluster() does.
   StreamingEngine(Parameters params, Options options = {},
-                  StreamConfig config = {})
-      : params_(params), options_(options), config_(config) {
+                  Method method = Method::kAuto, StreamConfig config = {})
+      : params_(params), options_(options), method_(method),
+        config_(config) {
     reset_engine();
   }
 
   /// Seeds the stream with an initial point set (sequence numbers
   /// 0..initial.size()-1, already "inserted").
   StreamingEngine(std::vector<Point<DIM>> initial, Parameters params,
-                  Options options = {}, StreamConfig config = {})
-      : params_(params), options_(options), config_(config),
-        base_(std::move(initial)) {
+                  Options options = {}, Method method = Method::kAuto,
+                  StreamConfig config = {})
+      : params_(params), options_(options), method_(method),
+        config_(config), base_(std::move(initial)) {
     reset_engine();
   }
 
@@ -206,7 +228,7 @@ class StreamingEngine {
 
   /// Clusters the live point set under the pinned parameters. Labels are
   /// indexed in sequence order over the live set (live_points() order).
-  /// timings.index_rebuilds reports the BVH builds since the previous
+  /// timings.index_rebuilds reports the index builds since the previous
   /// query — 0 for an append-only query whose preceding appends stayed
   /// below the rebuild threshold.
   [[nodiscard]] Clustering query() {
@@ -215,7 +237,7 @@ class StreamingEngine {
     Clustering result;
     if (size() == 0) {
       result.timings.engine_run = true;
-    } else if (uf_valid_) {
+    } else if (absorbs()) {
       result = absorb_and_finalize();
       ++counters_.refinalized_queries;
     } else {
@@ -244,6 +266,14 @@ class StreamingEngine {
     return std::max<std::int64_t>(0, live_begin_ - base_n());
   }
 
+  /// True when the next query absorbs: the union-find is valid and the
+  /// unabsorbed points do not outnumber the absorbed ones (beyond that,
+  /// absorbing enumerates more neighborhoods than reclustering does).
+  [[nodiscard]] bool absorbs() const noexcept {
+    const auto absorbed = static_cast<std::int64_t>(uf_.size());
+    return uf_valid_ && size() - absorbed <= absorbed;
+  }
+
   /// Point of logical id i. Only called while the union-find is valid,
   /// when no slot is retired (live_begin_ == 0).
   [[nodiscard]] const Point<DIM>& logical_point(std::int64_t i) const noexcept {
@@ -267,19 +297,56 @@ class StreamingEngine {
     delta_.insert(delta_.end(), points.begin(), points.end());
   }
 
+  /// The base index an absorb probes: the kind the last recluster
+  /// clustered over (both null for an empty base).
+  struct BaseIndex {
+    const Bvh<DIM>* points = nullptr;
+    const DenseBoxIndex<DIM>* densebox = nullptr;
+  };
+
+  /// The last recluster's kind of index over the current base, built on
+  /// first use (counted in the inner engine's index_builds).
+  [[nodiscard]] BaseIndex base_index() {
+    if (base_.empty()) return {};
+    if (densebox_) return {nullptr, &engine_->densebox_index(params_, options_)};
+    return {&engine_->index(), nullptr};
+  }
+
   /// Invokes f(logical_id) for every live point within eps of `p`
-  /// (including `p` itself when it is a member): a traversal of the base
-  /// BVH plus a lane-group scan of the delta. Never early-stops: callers
-  /// need the complete edge set.
+  /// (including `p` itself when it is a member): a walk of the base
+  /// index plus a lane-group scan of the delta. A DenseBox dense-cell
+  /// leaf is resolved by a lane-group scan of its members, mapped to ids
+  /// through the grid permutation. Never early-stops: callers need the
+  /// complete edge set.
   template <class F>
-  void for_each_neighbor(const Bvh<DIM>* bvh, const Point<DIM>& p,
+  void for_each_neighbor(const BaseIndex& index, const Point<DIM>& p,
                          float eps2, TraversalStats& stats,
                          std::int64_t& scans, F&& f) const {
-    if (bvh != nullptr) {
-      bvh->for_each_near(
+    if (index.points != nullptr) {
+      index.points->for_each_near(
           p, eps2, 0,
           [&](std::int32_t, std::int32_t id) {
             f(id);
+            return TraversalControl::kContinue;
+          },
+          &stats);
+    } else if (index.densebox != nullptr) {
+      const DenseBoxIndex<DIM>& db = *index.densebox;
+      const std::int32_t num_cells = db.grid.num_dense_cells();
+      const auto& cells = db.grid.cells();
+      const auto& perm = db.grid.permutation();
+      const auto member_axes = db.grid.member_axes();
+      db.bvh.for_each_near(
+          p, eps2, 0,
+          [&](std::int32_t, std::int32_t pid) {
+            if (pid < num_cells) {
+              const CellRange& cell = cells[static_cast<std::size_t>(pid)];
+              simd::for_each_within<DIM>(
+                  member_axes, cell.begin, cell.end, p, eps2, scans,
+                  [&](std::int32_t m) { f(perm[static_cast<std::size_t>(m)]); });
+            } else {
+              f(db.isolated_ids[static_cast<std::size_t>(pid - num_cells)]);
+            }
             return TraversalControl::kContinue;
           },
           &stats);
@@ -295,16 +362,16 @@ class StreamingEngine {
                                [&](std::int32_t m) { f(nb + m); });
   }
 
-  // ---- recluster (stale union-find) ---------------------------------------
+  // ---- recluster (stale union-find or large append) -----------------------
   /// Compacts the live set into the base unless it already is exactly
-  /// the base, then clusters it with Engine::run. The session state is
+  /// the base, then clusters it with the pinned method. The session state is
   /// rebuilt from the result: core flags verbatim, and a union-find with
   /// every cluster rooted at its lowest-id *core* member — a non-core
   /// root would read as unclaimed to resolve_pair and finalize. Neighbor
   /// counts are not kept; the next absorb recomputes the ones it needs.
   [[nodiscard]] Clustering recluster() {
     if (live_begin_ > 0 || delta_n() > 0) compact();
-    Clustering result = engine_->run(params_, options_);
+    Clustering result = run_method();
     const std::size_t n = result.labels.size();
     std::vector<std::int32_t> root(
         static_cast<std::size_t>(result.num_clusters));
@@ -329,6 +396,24 @@ class StreamingEngine {
     return result;
   }
 
+  /// cluster()'s dispatch over the compacted base; records which index
+  /// the run clustered over for the absorbs that follow.
+  [[nodiscard]] Clustering run_method() {
+    Clustering result;
+    bool densebox = method_ == Method::kDensebox;
+    if (method_ == Method::kAuto) {
+      AutoSelection<DIM> pick = fdbscan_auto(*engine_, params_, options_);
+      densebox = pick.used_densebox;
+      result = std::move(pick.clustering);
+    } else {
+      result = densebox ? engine_->run_densebox(params_, options_)
+                        : engine_->run(params_, options_);
+    }
+    densebox_ = densebox;
+    if (densebox) ++counters_.densebox_reclusters;
+    return result;
+  }
+
   // ---- absorb (valid union-find) ------------------------------------------
   /// Folds every point appended since the last query (logical ids
   /// [uf_.size(), size())) into the valid union-find, then flattens and
@@ -344,7 +429,7 @@ class StreamingEngine {
     timings.engine_run = true;
     // Free unless the eager build of an append-only compaction was
     // cancelled: then this query pays it.
-    const Bvh<DIM>* bvh = base_.empty() ? nullptr : &engine_->index();
+    const BaseIndex index = base_index();
     timings.index_construction =
         timer.lap("stream/index", &timings.index_construction_profile);
 
@@ -352,7 +437,7 @@ class StreamingEngine {
     const auto n_old = static_cast<std::int64_t>(uf_.size());
     if (n_old < n) {
       uf_valid_ = false;  // torn on cancellation, until fully absorbed
-      absorb_batch(bvh, n_old, n - n_old, timer, timings, work);
+      absorb_batch(index, n_old, n - n_old, timer, timings, work);
       counters_.incremental_inserts += unabsorbed_batches_;
       unabsorbed_batches_ = 0;
       uf_valid_ = true;
@@ -382,7 +467,7 @@ class StreamingEngine {
   /// Absorbs logical ids [n_old, n_old + k). Three passes so every edge
   /// is resolved with the *post-batch* core flags, like a from-scratch
   /// run: count, flip, resolve.
-  void absorb_batch(const Bvh<DIM>* bvh, std::int64_t n_old, std::int64_t k,
+  void absorb_batch(const BaseIndex& index, std::int64_t n_old, std::int64_t k,
                     exec::PhaseProfiler& timer, PhaseTimings& timings,
                     exec::PerThread<TraversalStats>& work) {
     assert(live_begin_ == 0);  // a valid union-find has seen no expiry
@@ -402,7 +487,7 @@ class StreamingEngine {
           TraversalStats stats;
           std::int64_t scans = 0;
           std::int32_t count = 0;
-          for_each_neighbor(bvh, logical_point(i), eps2, stats, scans,
+          for_each_neighbor(index, logical_point(i), eps2, stats, scans,
                             [&](std::int32_t y) { count += y < n_old; });
           counts_[static_cast<std::size_t>(i)] = count;
           stats.leaves_tested += scans;
@@ -422,7 +507,7 @@ class StreamingEngine {
         std::int64_t scans = 0;
         std::int32_t count = 0;
         for_each_neighbor(
-            bvh, logical_point(q), eps2, stats, scans, [&](std::int32_t y) {
+            index, logical_point(q), eps2, stats, scans, [&](std::int32_t y) {
               ++count;  // includes q itself and batch members
               if (y < n_old) {
                 const std::int32_t prev = exec::atomic_fetch_add(
@@ -472,7 +557,7 @@ class StreamingEngine {
       TraversalStats stats;
       std::int64_t scans = 0;
       for_each_neighbor(
-          bvh, logical_point(x64), eps2, stats, scans, [&](std::int32_t y) {
+          index, logical_point(x64), eps2, stats, scans, [&](std::int32_t y) {
             if (y != x) {
               fdbscan::detail::resolve_pair(uf, is_core_, x, y,
                                             options_.variant);
@@ -496,15 +581,16 @@ class StreamingEngine {
                          static_cast<double>(n);
     if (!due) return;
     compact();
-    // Eager build only where the next query absorbs against the index.
-    // Best-effort — by this point the mutation has logically taken
-    // effect, so a cancellation (or OOM) inside the warm-up build must
-    // not turn a completed insert/expire into a reported failure. The
-    // build simply stays lazy and the next query pays it (rethrowing
-    // whatever condition persists).
-    if (uf_valid_ && !base_.empty()) {
+    // Eager build only where the next query absorbs against the index,
+    // of the kind the last recluster used. Best-effort — by this point
+    // the mutation has logically taken effect, so a cancellation (or
+    // OOM) inside the warm-up build must not turn a completed
+    // insert/expire into a reported failure. The build simply stays lazy
+    // and the next query pays it (rethrowing whatever condition
+    // persists).
+    if (absorbs()) {
       try {
-        (void)engine_->index();
+        (void)base_index();
       } catch (...) {
       }
     }
@@ -545,15 +631,16 @@ class StreamingEngine {
 
   Parameters params_;
   Options options_;
+  Method method_;
   StreamConfig config_;
 
-  std::vector<Point<DIM>> base_;   // BVH-covered slots, sequence order
+  std::vector<Point<DIM>> base_;   // indexed slots, sequence order
   std::vector<Point<DIM>> delta_;  // side-buffer slots appended after base
   std::array<std::vector<float>, DIM> delta_axes_{};  // +inf padded SoA
   std::int64_t seq0_ = 0;          // sequence number of slot 0
   std::int64_t live_begin_ = 0;    // slots below this are retired
 
-  std::unique_ptr<Engine<DIM>> engine_;  // owns the base BVH + its memory
+  std::unique_ptr<Engine<DIM>> engine_;  // owns the base index + its memory
 
   // Session state over logical ids (0 = oldest live point), valid while
   // uf_valid_: no expiry and no cancelled query since the last query.
@@ -561,6 +648,7 @@ class StreamingEngine {
   std::vector<std::int32_t> counts_;    // saturating |N_eps|; empty = stale
   std::vector<std::uint8_t> is_core_;
   bool uf_valid_ = false;
+  bool densebox_ = false;  // the last recluster ran DenseBox: absorb its index
   std::int64_t unabsorbed_batches_ = 0;  // inserts since the last query
 
   std::int64_t retired_index_builds_ = 0;  // builds of replaced engines

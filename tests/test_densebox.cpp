@@ -21,6 +21,7 @@ namespace {
 
 using testing::DbscanCase;
 using testing::make_dataset;
+using testing::ScopedBackend;
 using testing::ScopedThreads;
 using testing::standard_cases;
 
@@ -171,21 +172,6 @@ TEST(DenseBox, DenseFractionGrowsWithEps) {
 // runs at 1, 2 and 8 workers with both kernel backends: labels must match
 // brute force, core flags must equal fdbscan()'s, and dist_comps and
 // nodes_visited must not move.
-
-/// Restores the kernel backend selection on scope exit (the flag is
-/// global).
-class ScopedBackend {
- public:
-  explicit ScopedBackend(bool on) : previous_(simd::enabled()) {
-    simd::set_enabled(on);
-  }
-  ~ScopedBackend() { simd::set_enabled(previous_); }
-  ScopedBackend(const ScopedBackend&) = delete;
-  ScopedBackend& operator=(const ScopedBackend&) = delete;
-
- private:
-  bool previous_;
-};
 
 /// Runs the checks above and returns the (single) result.
 template <int DIM>

@@ -1,5 +1,6 @@
 // Streaming sessions through ClusterService (service/service.h §14):
-// open/append/expire/query ordering and equivalence, the engine-pool Pin
+// open/append/expire/query ordering and equivalence, the pinned method's
+// work on every query after an expiry, the engine-pool Pin
 // under eviction pressure, per-op deadlines and cancellation, the
 // kTokenBusy admission guard, RequestSpec validation, and the session
 // capacity / invalid-session / failed-open error paths.
@@ -17,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/cluster.h"
 #include "core/fdbscan.h"
 #include "core/validate.h"
 #include "data/generators.h"
@@ -166,6 +168,45 @@ TEST(Session, AppendsBelowThresholdReportZeroRebuilds) {
   session.close();
   service.wait_idle();
   EXPECT_EQ(service.metrics().session_rebuilds, 1);
+}
+
+TEST(Session, ExpiryQueriesDoTheWorkOfThePinnedMethod) {
+  // A session pins spec.method: every query after an expiry reclusters
+  // the window exactly like cluster(live, params, {}, method) — same
+  // work counters, core flags and cluster count.
+  ClusterService service(ServiceConfig{.dispatchers = 2});
+  const auto points = data::ngsim_like(3000, 59);
+  const Parameters params{0.02f, 5};
+  for (const Method method :
+       {Method::kFdbscan, Method::kDensebox, Method::kAuto}) {
+    SCOPED_TRACE(static_cast<int>(method));
+    RequestSpec spec;
+    spec.params = params;
+    spec.method = method;
+    auto opened = service.open_session<2>(
+        "method" + std::to_string(static_cast<int>(method)),
+        shared_slice(points, 0, 2000), spec);
+    ASSERT_TRUE(opened.has_value()) << opened.error().message;
+    ClusterService::Session session = std::move(*opened);
+    for (std::int64_t lo = 2000; lo < 3000; lo += 250) {
+      auto appended = session.append<2>(shared_slice(points, lo, lo + 250));
+      auto expired = session.expire(lo - 2000 + 250);
+      const ServiceResult q = session.query().get();
+      ASSERT_TRUE(appended.get().has_value());
+      ASSERT_TRUE(expired.get().has_value());
+      ASSERT_TRUE(q.has_value()) << q.error().message;
+      const std::vector<Point2> live(points.begin() + (lo - 2000 + 250),
+                                     points.begin() + lo + 250);
+      const Clustering ref = *cluster(live, params, Options{}, method);
+      EXPECT_EQ(q->distance_computations, ref.distance_computations)
+          << "window ending at " << lo + 250;
+      EXPECT_EQ(q->index_nodes_visited, ref.index_nodes_visited);
+      EXPECT_EQ(q->is_core, ref.is_core);
+      EXPECT_EQ(q->num_clusters, ref.num_clusters);
+      EXPECT_TRUE(equivalent_clusterings(live, params, ref, *q).ok);
+    }
+    session.close();
+  }
 }
 
 TEST(Session, QueryObservesExactlyThePrecedingMutations) {

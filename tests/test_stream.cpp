@@ -1,9 +1,11 @@
 // StreamingEngine (stream/streaming_engine.h): label equivalence of both
 // query paths (recluster after an expiry, absorb after appends) against
 // from-scratch runs on the same logical point set, recluster work equal
-// to fdbscan(live), rebuild amortization (appends below the threshold
-// leave index_rebuilds at zero), lazy expiry, sequence-number stability
-// across compactions, and cancellation.
+// to cluster(live, params, options, method) for every method, absorbs
+// against the DenseBox index, the large-append recluster rule, rebuild
+// amortization (appends below the threshold leave index_rebuilds at
+// zero), lazy expiry, sequence-number stability across compactions, and
+// cancellation.
 #include "stream/streaming_engine.h"
 
 #include <gtest/gtest.h>
@@ -18,6 +20,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/cluster.h"
 #include "core/fdbscan.h"
 #include "core/fdbscan_densebox.h"
 #include "core/validate.h"
@@ -30,7 +33,23 @@
 namespace fdbscan::stream {
 namespace {
 
+using fdbscan::testing::ScopedBackend;
 using fdbscan::testing::ScopedThreads;
+
+constexpr Method kMethods[] = {Method::kFdbscan, Method::kDensebox,
+                               Method::kAuto};
+
+const char* method_name(Method method) {
+  switch (method) {
+    case Method::kFdbscan:
+      return "fdbscan";
+    case Method::kDensebox:
+      return "densebox";
+    case Method::kAuto:
+      break;
+  }
+  return "auto";
+}
 
 /// Checks one streaming query against BOTH from-scratch algorithms on
 /// the same live point set. Core flags are algorithm-independent, so
@@ -50,31 +69,36 @@ void expect_equivalent(const std::vector<Point<DIM>>& live,
   EXPECT_TRUE(check_db.ok) << where << " vs densebox: " << check_db.message;
 }
 
-/// Replays a sliding window through a StreamingEngine, checking every
-/// step's query for equivalence. Returns the engine's final counters.
+/// Replays a sliding window through a StreamingEngine pinned to each
+/// method in turn, checking every step's query for equivalence. Returns
+/// the final counters of the kAuto replay (the last).
 template <int DIM>
 StreamCounters replay_and_check(const std::vector<Point<DIM>>& arrivals,
                                 std::int64_t window, std::int64_t batch,
                                 const Parameters& params,
-                                const Options& options,
-                                const StreamConfig& config = {}) {
-  data::SlidingWindow<DIM> driver(arrivals, window, batch);
-  StreamingEngine<DIM> engine(params, options, config);
-  std::int64_t step = 0;
-  while (!driver.done()) {
-    const data::WindowStep<DIM> s = driver.next();
-    (void)engine.expire(s.expire_before);
-    const std::int64_t first = engine.insert(s.batch);
-    EXPECT_EQ(first, s.first_seq) << "step " << step;
-    EXPECT_EQ(engine.size(), s.live_count) << "step " << step;
-    EXPECT_EQ(engine.first_live_seq(), s.expire_before) << "step " << step;
-    const std::vector<Point<DIM>> live = driver.live_points();
-    const Clustering streamed = engine.query();
-    const std::string where = "step " + std::to_string(step);
-    expect_equivalent(live, params, options, streamed, where.c_str());
-    ++step;
+                                const Options& options) {
+  StreamCounters counters;
+  for (const Method method : kMethods) {
+    SCOPED_TRACE(method_name(method));
+    data::SlidingWindow<DIM> driver(arrivals, window, batch);
+    StreamingEngine<DIM> engine(params, options, method);
+    std::int64_t step = 0;
+    while (!driver.done()) {
+      const data::WindowStep<DIM> s = driver.next();
+      (void)engine.expire(s.expire_before);
+      const std::int64_t first = engine.insert(s.batch);
+      EXPECT_EQ(first, s.first_seq) << "step " << step;
+      EXPECT_EQ(engine.size(), s.live_count) << "step " << step;
+      EXPECT_EQ(engine.first_live_seq(), s.expire_before) << "step " << step;
+      const std::vector<Point<DIM>> live = driver.live_points();
+      const Clustering streamed = engine.query();
+      const std::string where = "step " + std::to_string(step);
+      expect_equivalent(live, params, options, streamed, where.c_str());
+      ++step;
+    }
+    counters = engine.counters();
   }
-  return engine.counters();
+  return counters;
 }
 
 // --- Equivalence sweep: worker counts x dimensions x variants ------------
@@ -104,80 +128,87 @@ TEST_P(StreamEquivalence, AppendOnlyGrowthMatchesFromScratch) {
   // query establishes the union-find, so this sweep exercises the
   // three-pass absorb (count / flip / resolve) at every worker count.
   ScopedThreads threads(GetParam());
-  const auto arrivals =
-      fdbscan::testing::clustered_points<2>(2000, 6, 1.0f, 0.02f, 21);
-  Parameters params{0.05f, 5};
-  StreamingEngine<2> engine(
-      std::vector<Point2>(arrivals.begin(), arrivals.begin() + 800), params);
-  (void)engine.query();  // establishes incremental state
-  std::vector<Point2> live(arrivals.begin(), arrivals.begin() + 800);
-  std::int64_t cursor = 800;
-  while (cursor < static_cast<std::int64_t>(arrivals.size())) {
-    const std::int64_t k =
-        std::min<std::int64_t>(150, arrivals.size() - cursor);
-    const std::span<const Point2> batch(arrivals.data() + cursor,
-                                        static_cast<std::size_t>(k));
-    (void)engine.insert(batch);
-    live.insert(live.end(), batch.begin(), batch.end());
-    cursor += k;
-    const Clustering streamed = engine.query();
-    expect_equivalent(live, params, Options{}, streamed, "append-only");
+  for (const Method method : kMethods) {
+    SCOPED_TRACE(method_name(method));
+    const auto arrivals =
+        fdbscan::testing::clustered_points<2>(2000, 6, 1.0f, 0.02f, 21);
+    Parameters params{0.05f, 5};
+    StreamingEngine<2> engine(
+        std::vector<Point2>(arrivals.begin(), arrivals.begin() + 800), params,
+        Options{}, method);
+    (void)engine.query();  // establishes incremental state
+    std::vector<Point2> live(arrivals.begin(), arrivals.begin() + 800);
+    std::int64_t cursor = 800;
+    while (cursor < static_cast<std::int64_t>(arrivals.size())) {
+      const std::int64_t k =
+          std::min<std::int64_t>(150, arrivals.size() - cursor);
+      const std::span<const Point2> batch(arrivals.data() + cursor,
+                                          static_cast<std::size_t>(k));
+      (void)engine.insert(batch);
+      live.insert(live.end(), batch.begin(), batch.end());
+      cursor += k;
+      const Clustering streamed = engine.query();
+      expect_equivalent(live, params, Options{}, streamed, "append-only");
+    }
+    EXPECT_GT(engine.counters().incremental_inserts, 0);
+    EXPECT_GT(engine.counters().refinalized_queries, 0);
   }
-  EXPECT_GT(engine.counters().incremental_inserts, 0);
-  EXPECT_GT(engine.counters().refinalized_queries, 0);
 }
 
 TEST_P(StreamEquivalence, ReclusteredUnionFindAbsorbsLaterAppends) {
   // A sliding window, then append-only growth: the union-find the last
-  // recluster rebuilt from Engine::run's labels must absorb the later
+  // recluster rebuilt from its run's labels must absorb the later
   // batches and stay equivalent. The final window opens with a chain
   // whose lowest-id member b is a border point, so that cluster's root
   // must be a higher-id core member; a later append makes b core.
   ScopedThreads threads(GetParam());
-  const Parameters params{0.05f, 3};
-  const auto noise = fdbscan::testing::random_points<2>(300, 1.0f, 43);
-  const auto grow =
-      fdbscan::testing::clustered_points<2>(1000, 5, 1.0f, 0.02f, 47);
-  // b at 2.000 sees only c1 (border); c1 and c2 see three each (core);
-  // c3 sees only c2 (border).
-  std::vector<Point2> window = {
-      {{2.000f, 2.0f}}, {{2.045f, 2.0f}}, {{2.075f, 2.0f}}, {{2.105f, 2.0f}}};
-  window.insert(window.end(), grow.begin(), grow.begin() + 300);
-  StreamingEngine<2> engine(params);
-  (void)engine.insert(noise);
-  (void)engine.query();
-  (void)engine.insert(window);
-  EXPECT_EQ(engine.expire(300), 300);
-  const Clustering slid = engine.query();
-  ASSERT_EQ(slid.is_core[0], 0);  // b: border, and in a cluster
-  ASSERT_NE(slid.labels[0], kNoise);
-  ASSERT_EQ(slid.is_core[1], 1);
-  expect_equivalent(window, params, Options{}, slid, "slid");
-  const StreamCounters before = engine.counters();
+  for (const Method method : kMethods) {
+    SCOPED_TRACE(method_name(method));
+    const Parameters params{0.05f, 3};
+    const auto noise = fdbscan::testing::random_points<2>(300, 1.0f, 43);
+    const auto grow =
+        fdbscan::testing::clustered_points<2>(1000, 5, 1.0f, 0.02f, 47);
+    // b at 2.000 sees only c1 (border); c1 and c2 see three each (core);
+    // c3 sees only c2 (border).
+    std::vector<Point2> window = {
+        {{2.000f, 2.0f}}, {{2.045f, 2.0f}}, {{2.075f, 2.0f}}, {{2.105f, 2.0f}}};
+    window.insert(window.end(), grow.begin(), grow.begin() + 300);
+    StreamingEngine<2> engine(params, Options{}, method);
+    (void)engine.insert(noise);
+    (void)engine.query();
+    (void)engine.insert(window);
+    EXPECT_EQ(engine.expire(300), 300);
+    const Clustering slid = engine.query();
+    ASSERT_EQ(slid.is_core[0], 0);  // b: border, and in a cluster
+    ASSERT_NE(slid.labels[0], kNoise);
+    ASSERT_EQ(slid.is_core[1], 1);
+    expect_equivalent(window, params, Options{}, slid, "slid");
+    const StreamCounters before = engine.counters();
 
-  std::vector<Point2> live = window;
-  // The first batch turns b core: (1.960, 2.0) is within eps of b only.
-  std::vector<Point2> batch = {{{1.960f, 2.0f}}};
-  batch.insert(batch.end(), grow.begin() + 300, grow.begin() + 450);
-  std::int64_t cursor = 450;
-  for (int i = 0; i < 5; ++i) {
-    (void)engine.insert(batch);
-    live.insert(live.end(), batch.begin(), batch.end());
-    if (i % 2 == 1) {  // two batches absorbed by one query
-      const Clustering q = engine.query();
-      expect_equivalent(live, params, Options{}, q, "append-only");
-      if (i == 1) {
-        EXPECT_EQ(q.is_core[0], 1);  // b flipped to core
+    std::vector<Point2> live = window;
+    // The first batch turns b core: (1.960, 2.0) is within eps of b only.
+    std::vector<Point2> batch = {{{1.960f, 2.0f}}};
+    batch.insert(batch.end(), grow.begin() + 300, grow.begin() + 450);
+    std::int64_t cursor = 450;
+    for (int i = 0; i < 5; ++i) {
+      (void)engine.insert(batch);
+      live.insert(live.end(), batch.begin(), batch.end());
+      if (i % 2 == 1) {  // two batches absorbed by one query
+        const Clustering q = engine.query();
+        expect_equivalent(live, params, Options{}, q, "append-only");
+        if (i == 1) {
+          EXPECT_EQ(q.is_core[0], 1);  // b flipped to core
+        }
       }
+      batch.assign(grow.begin() + cursor, grow.begin() + cursor + 100);
+      cursor += 100;
     }
-    batch.assign(grow.begin() + cursor, grow.begin() + cursor + 100);
-    cursor += 100;
+    expect_equivalent(live, params, Options{}, engine.query(), "final");
+    const StreamCounters after = engine.counters();
+    EXPECT_EQ(after.incremental_inserts - before.incremental_inserts, 5);
+    EXPECT_EQ(after.refinalized_queries - before.refinalized_queries, 3);
+    EXPECT_EQ(after.full_refreshes, before.full_refreshes);
   }
-  expect_equivalent(live, params, Options{}, engine.query(), "final");
-  const StreamCounters after = engine.counters();
-  EXPECT_EQ(after.incremental_inserts - before.incremental_inserts, 5);
-  EXPECT_EQ(after.refinalized_queries - before.refinalized_queries, 3);
-  EXPECT_EQ(after.full_refreshes, before.full_refreshes);
 }
 
 TEST_P(StreamEquivalence, CancelledReclusterLeavesTheWindowCompacted) {
@@ -238,27 +269,111 @@ TEST_P(StreamEquivalence, CancelledReclusterLeavesTheWindowCompacted) {
 
 TEST_P(StreamEquivalence, AppendExpireQueryDoesNoAbsorbWork) {
   // A query after an expiry is exactly a from-scratch run over the
-  // compacted window: no absorb work, and the same work counters as
-  // fdbscan(live).
+  // compacted window, for each pinned method: no absorb work, and the
+  // work counters, core flags and cluster count of
+  // cluster(live, params, {}, method).
   ScopedThreads threads(GetParam());
   const auto points = data::ngsim_like(3000, 59);
   const Parameters params{0.02f, 5};
-  StreamingEngine<2> engine(
-      std::vector<Point2>(points.begin(), points.begin() + 2000), params);
-  (void)engine.query();
-  for (std::int64_t lo = 2000; lo < 3000; lo += 250) {
-    const StreamCounters before = engine.counters();
-    (void)engine.insert(std::span<const Point2>(points.data() + lo, 250));
-    (void)engine.expire(engine.first_live_seq() + 250);
-    const Clustering q = engine.query();
-    const std::vector<Point2> live = engine.live_points();
-    const Clustering ref = fdbscan(live, params);
-    EXPECT_EQ(engine.counters().incremental_inserts,
-              before.incremental_inserts);
-    EXPECT_EQ(q.distance_computations, ref.distance_computations);
-    EXPECT_EQ(q.index_nodes_visited, ref.index_nodes_visited);
-    EXPECT_EQ(q.is_core, ref.is_core);
-    expect_equivalent(live, params, Options{}, q, "append-expire-query");
+  for (const Method method : kMethods) {
+    SCOPED_TRACE(method_name(method));
+    StreamingEngine<2> engine(
+        std::vector<Point2>(points.begin(), points.begin() + 2000), params,
+        Options{}, method);
+    (void)engine.query();
+    for (std::int64_t lo = 2000; lo < 3000; lo += 250) {
+      const StreamCounters before = engine.counters();
+      (void)engine.insert(std::span<const Point2>(points.data() + lo, 250));
+      (void)engine.expire(engine.first_live_seq() + 250);
+      const Clustering q = engine.query();
+      const std::vector<Point2> live = engine.live_points();
+      const Clustering ref = *cluster(live, params, Options{}, method);
+      const StreamCounters after = engine.counters();
+      EXPECT_EQ(after.incremental_inserts, before.incremental_inserts);
+      EXPECT_EQ(after.full_refreshes, before.full_refreshes + 1);
+      EXPECT_EQ(q.distance_computations, ref.distance_computations);
+      EXPECT_EQ(q.index_nodes_visited, ref.index_nodes_visited);
+      EXPECT_EQ(q.is_core, ref.is_core);
+      EXPECT_EQ(q.num_clusters, ref.num_clusters);
+      EXPECT_EQ(q.num_dense_cells, ref.num_dense_cells);
+      expect_equivalent(live, params, Options{}, q, "append-expire-query");
+    }
+    const StreamCounters c = engine.counters();
+    if (method == Method::kFdbscan) {
+      EXPECT_EQ(c.densebox_reclusters, 0);
+    }
+    if (method == Method::kDensebox) {
+      EXPECT_EQ(c.densebox_reclusters, c.full_refreshes);
+    }
+  }
+}
+
+TEST_P(StreamEquivalence, AppendOnlyAbsorbAgainstTheDenseBoxIndex) {
+  // After a DenseBox recluster, appends absorb against its mixed BVH:
+  // dense cells are scanned member by member, isolated points are leaf
+  // primitives. Each batch carries more cluster points plus points next
+  // to old non-core points, so old points cross minpts and flip. Every
+  // query must match both from-scratch algorithms, and no append may
+  // build an index (the batches stay below the rebuild threshold).
+  ScopedThreads threads(GetParam());
+  const auto dense = data::gaussian_mixture2(2400, 5, 1.0f, 0.01f, 61);
+  const auto noise = fdbscan::testing::random_points<2>(400, 1.0f, 67);
+  struct Case {
+    std::int32_t minpts;
+    Variant variant;
+  };
+  for (const bool simd_on : {true, false}) {
+    ScopedBackend backend(simd_on);
+    for (const Case c : {Case{2, Variant::kDbscan}, Case{5, Variant::kDbscan},
+                         Case{5, Variant::kDbscanStar}}) {
+      SCOPED_TRACE("simd " + std::to_string(simd_on) + " minpts " +
+                   std::to_string(c.minpts) + " variant " +
+                   std::to_string(static_cast<int>(c.variant)));
+      const Parameters params{0.02f, c.minpts};
+      Options options;
+      options.variant = c.variant;
+      std::vector<Point2> live(dense.begin(), dense.begin() + 1600);
+      live.insert(live.end(), noise.begin(), noise.begin() + 300);
+      StreamingEngine<2> engine(live, params, options, Method::kDensebox);
+      Clustering last = engine.query();
+      ASSERT_EQ(engine.counters().densebox_reclusters, 1);
+      ASSERT_GT(last.num_dense_cells, 0);
+      std::int64_t flips = 0;
+      for (int b = 0; b < 4; ++b) {
+        std::vector<Point2> batch(dense.begin() + 1600 + b * 60,
+                                  dense.begin() + 1660 + b * 60);
+        batch.insert(batch.end(), noise.begin() + 300 + b * 15,
+                     noise.begin() + 315 + b * 15);
+        // Crossings: minpts - 1 points beside each of a few old
+        // non-core points make it core.
+        std::int32_t placed = 0;
+        for (std::size_t i = 0; i < last.is_core.size() && placed < 6; ++i) {
+          if (last.is_core[i] != 0 || (i + static_cast<std::size_t>(b)) % 3 != 0) {
+            continue;
+          }
+          for (std::int32_t k = 1; k < c.minpts; ++k) {
+            batch.push_back(Point2{{live[i][0] + 0.004f * static_cast<float>(k),
+                                    live[i][1]}});
+          }
+          ++placed;
+        }
+        (void)engine.insert(batch);
+        live.insert(live.end(), batch.begin(), batch.end());
+        const Clustering q = engine.query();
+        EXPECT_EQ(q.timings.index_rebuilds, 0) << "batch " << b;
+        for (std::size_t i = 0; i < last.is_core.size(); ++i) {
+          flips += last.is_core[i] == 0 && q.is_core[i] != 0;
+        }
+        expect_equivalent(live, params, options, q, "densebox absorb");
+        last = q;
+      }
+      EXPECT_GT(flips, 0);
+      const StreamCounters after = engine.counters();
+      EXPECT_EQ(after.incremental_inserts, 4);
+      EXPECT_EQ(after.refinalized_queries, 4);
+      EXPECT_EQ(after.full_refreshes, 1);
+      EXPECT_EQ(after.index_rebuilds, 1);
+    }
   }
 }
 
@@ -303,12 +418,16 @@ TEST(StreamingEngine, EarlyExitDisabledMatches) {
 
 // --- Rebuild amortization ------------------------------------------------
 
-TEST(StreamingEngine, AppendsBelowThresholdNeverRebuild) {
-  const auto points =
-      fdbscan::testing::clustered_points<2>(4000, 6, 1.0f, 0.02f, 17);
-  Parameters params{0.05f, 5};
+/// Sub-threshold appends after the first query: every query absorbs
+/// against the index the initial recluster built, and none builds one.
+/// Returns the final counters.
+StreamCounters expect_appends_never_rebuild(const std::vector<Point2>& points,
+                                            const Parameters& params,
+                                            Method method) {
+  SCOPED_TRACE(method_name(method));
   StreamingEngine<2> engine(
-      std::vector<Point2>(points.begin(), points.begin() + 3600), params);
+      std::vector<Point2>(points.begin(), points.begin() + 3600), params,
+      Options{}, method);
   Clustering first = engine.query();
   EXPECT_EQ(first.timings.index_rebuilds, 1);  // the lazy initial build
   std::int64_t cursor = 3600;
@@ -324,6 +443,60 @@ TEST(StreamingEngine, AppendsBelowThresholdNeverRebuild) {
   EXPECT_EQ(c.incremental_inserts, 8);
   EXPECT_EQ(c.full_refreshes, 1);
   EXPECT_EQ(c.refinalized_queries, 8);
+  expect_equivalent(engine.live_points(), params, Options{}, engine.query(),
+                    "after appends");
+  return c;
+}
+
+TEST(StreamingEngine, AppendsBelowThresholdNeverRebuild) {
+  const auto points =
+      fdbscan::testing::clustered_points<2>(4000, 6, 1.0f, 0.02f, 17);
+  for (const Method method : kMethods) {
+    (void)expect_appends_never_rebuild(points, Parameters{0.05f, 5}, method);
+  }
+}
+
+TEST(StreamingEngine, AppendsBelowThresholdNeverRebuildOnDenseSeeds) {
+  // warm_append's data shape: nearly every point sits in a dense cell,
+  // so the default kAuto reclusters with DenseBox and the appends absorb
+  // against its cached bundle.
+  const auto points = data::gaussian_mixture2(4000, 5, 1.0f, 0.01f, 21);
+  const StreamCounters c =
+      expect_appends_never_rebuild(points, Parameters{0.05f, 5}, Method::kAuto);
+  EXPECT_EQ(c.densebox_reclusters, 1);
+}
+
+TEST(StreamingEngine, LargeAppendReclustersInsteadOfAbsorbing) {
+  // 26000 points appended to a 4000-point window outnumber the absorbed
+  // set, so the query reclusters: the same work as cluster(live).
+  const auto points =
+      fdbscan::testing::clustered_points<2>(30000, 6, 1.0f, 0.02f, 41);
+  const Parameters params{0.02f, 5};
+  StreamingEngine<2> engine(
+      std::vector<Point2>(points.begin(), points.begin() + 4000), params);
+  (void)engine.query();
+  const StreamCounters before = engine.counters();
+  (void)engine.insert(std::span<const Point2>(points.data() + 4000, 26000));
+  const Clustering q = engine.query();
+  const StreamCounters after = engine.counters();
+  EXPECT_EQ(after.full_refreshes, before.full_refreshes + 1);
+  EXPECT_EQ(after.incremental_inserts, before.incremental_inserts);
+  EXPECT_EQ(after.refinalized_queries, before.refinalized_queries);
+  // The compaction at insert built nothing: the recluster's index is the
+  // only build.
+  EXPECT_EQ(q.timings.index_rebuilds, 1);
+  const Clustering ref = *cluster(points, params);
+  EXPECT_EQ(q.distance_computations, ref.distance_computations);
+  EXPECT_EQ(q.index_nodes_visited, ref.index_nodes_visited);
+  EXPECT_EQ(q.is_core, ref.is_core);
+  EXPECT_EQ(q.num_clusters, ref.num_clusters);
+  expect_equivalent(points, params, Options{}, q, "large append");
+
+  // A following append below the absorbed count absorbs again.
+  (void)engine.insert(std::span<const Point2>(points.data(), 100));
+  (void)engine.query();
+  EXPECT_EQ(engine.counters().incremental_inserts,
+            before.incremental_inserts + 1);
 }
 
 TEST(StreamingEngine, CrossingTheThresholdRebuildsOnce) {
@@ -334,7 +507,7 @@ TEST(StreamingEngine, CrossingTheThresholdRebuildsOnce) {
   config.rebuild_fraction = 0.25f;
   StreamingEngine<2> engine(
       std::vector<Point2>(points.begin(), points.begin() + 1000), params,
-      Options{}, config);
+      Options{}, Method::kAuto, config);
   (void)engine.query();
   // One batch of 400 > 25% of the 1000 live points: rebuild at insert.
   (void)engine.insert(
@@ -438,8 +611,9 @@ TEST(StreamingEngine, RaisedTokenRejectsMutationsAtEntry) {
 
 TEST(StreamingEngine, CancelledInsertRollsTheBatchBack) {
   // Raise the token from a second thread while a large batch is being
-  // inserted (the batch trips the threshold, so the insert compacts and
-  // starts the eager index build). Whichever way the race lands —
+  // inserted (the batch trips the threshold, so the insert compacts; it
+  // outnumbers the absorbed points, so no eager index build follows and
+  // the next query reclusters). Whichever way the race lands —
   // cancelled at entry or completed first — the logical point set must
   // be exactly the pre-insert or post-insert set, and the next query
   // (under a fresh scope) must match a from-scratch run of whichever it

@@ -1,11 +1,12 @@
-// Shared helpers for the test suite: small deterministic datasets and a
-// scoped thread-count override.
+// Shared helpers for the test suite: small deterministic datasets and
+// scoped thread-count and kernel-backend overrides.
 #pragma once
 
 #include <cstdint>
 #include <random>
 #include <vector>
 
+#include "exec/simd.h"
 #include "exec/thread_pool.h"
 #include "geometry/point.h"
 
@@ -25,6 +26,21 @@ class ScopedThreads {
 
  private:
   int previous_;
+};
+
+/// Runs a section of a test with the SIMD kernel backend on or off,
+/// restoring the previous selection afterwards (the flag is global).
+class ScopedBackend {
+ public:
+  explicit ScopedBackend(bool on) : previous_(simd::enabled()) {
+    simd::set_enabled(on);
+  }
+  ~ScopedBackend() { simd::set_enabled(previous_); }
+  ScopedBackend(const ScopedBackend&) = delete;
+  ScopedBackend& operator=(const ScopedBackend&) = delete;
+
+ private:
+  bool previous_;
 };
 
 /// Uniform points in [0, extent]^DIM.

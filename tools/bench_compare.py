@@ -341,8 +341,12 @@ def gate_stream(doc, path):
       * entries carrying expiry_queries (the sliding windows) must
         count > 0 queries that followed an expiry and report
         expiry_work_mismatches == 0: each of those queries reclusters
-        the compacted window with Engine::run, so its distance
-        computations equal the from-scratch fdbscan(live) reference's;
+        the compacted window through cluster()'s method dispatch, so
+        its distance computations equal the from-scratch cluster(live)
+        reference's;
+      * at least one sliding-window entry must report
+        densebox_reclusters > 0, so the DenseBox recluster (and the
+        absorbs against its index) is provably exercised;
       * stream_rebuilds <= stream_rebuild_bound where an entry carries
         the bound (warm_append: the lazy initial build only);
       * entries carrying warm_queries_checked must check > 0 warm
@@ -355,6 +359,7 @@ def gate_stream(doc, path):
     checked = 0
     warm_entries = 0
     expiry_entries = 0
+    densebox_entries = 0
     for e in doc["entries"]:
         if e.get("error") or "stream_equiv_checked" not in e["counters"]:
             continue
@@ -372,6 +377,8 @@ def gate_stream(doc, path):
                 "query diverged from the from-scratch reference")
         if "expiry_queries" in counters:
             expiry_entries += 1
+            if counters.get("densebox_reclusters", 0) > 0:
+                densebox_entries += 1
             if counters["expiry_queries"] <= 0:
                 violations.append(
                     f"{name}: expiry_queries="
@@ -417,6 +424,11 @@ def gate_stream(doc, path):
             violations.append(
                 f"{path}: no entries carry an expiry_queries counter — "
                 "the recluster work rule went unchecked")
+        elif densebox_entries == 0:
+            violations.append(
+                f"{path}: no sliding-window entry reports "
+                "densebox_reclusters > 0 — the DenseBox recluster went "
+                "unexercised")
     return violations, checked
 
 
@@ -653,8 +665,8 @@ def main(argv):
                 return 1
             print("ok: stream contract holds (every streamed query "
                   "matches a from-scratch run over the live set, queries "
-                  "after an expiry do its exact work, warm appends "
-                  "rebuild nothing)")
+                  "after an expiry do its exact work, DenseBox reclusters "
+                  "happened, warm appends rebuild nothing)")
             return 0
         if args.gate_simd:
             if len(args.files) != 2:
